@@ -124,7 +124,7 @@ func BenchmarkFig6Correlation(b *testing.B) {
 func BenchmarkAllExperimentsSharedTestbed(b *testing.B) {
 	exps := experiments.All()
 	for i := 0; i < b.N; i++ {
-		rep := runner.Run(exps, runner.Options{Scale: benchScale(), Seed: 9})
+		rep := runner.RunContext(context.Background(), exps, runner.Options{Scale: benchScale(), Seed: 9}, runner.Hooks{})
 		if err := rep.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkAllExperimentsSharedTestbed(b *testing.B) {
 func BenchmarkAllExperimentsSequential(b *testing.B) {
 	exps := experiments.All()
 	for i := 0; i < b.N; i++ {
-		rep := runner.Run(exps, runner.Options{Scale: benchScale(), Seed: 9, Parallel: 1})
+		rep := runner.RunContext(context.Background(), exps, runner.Options{Scale: benchScale(), Seed: 9, Parallel: 1}, runner.Hooks{})
 		if err := rep.Err(); err != nil {
 			b.Fatal(err)
 		}

@@ -140,7 +140,6 @@ func main() {
 		QueueDepth: *queue,
 		CacheBytes: cacheBytes,
 		RetryAfter: *retryAfter,
-		Logf:       logger.Printf,
 		Logger:     slogger,
 		Tracer:     tracer,
 		StoreDir:   *storeDir,

@@ -200,7 +200,6 @@ func run() int {
 	cfg := qoed.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		Logf:       func(string, ...any) {},
 	}
 	if len(diskSeeds) > 0 {
 		// Restart-the-store-between-phases mode: a first daemon life computes
@@ -362,19 +361,17 @@ func prewarmDiskStore(ctx context.Context, cfg qoed.Config, diskSeeds map[int64]
 			return 2
 		}
 	}
-	// A run's stream returns just before its spill write lands; every tuple
-	// must be durable before this life ends.
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		m, err := client.Metrics(ctx)
-		if err == nil && m.StoreEntries >= int64(len(diskSeeds)) {
-			return 0
-		}
-		if time.Now().After(deadline) || ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "qoeload: disk pre-runs never reached the store\n")
-			return 2
-		}
-		time.Sleep(5 * time.Millisecond)
+	// A summary is released only after its run is durable, so every tuple
+	// is in the store now.
+	m, err := client.Metrics(ctx)
+	if err == nil && m.StoreEntries < int64(len(diskSeeds)) {
+		err = fmt.Errorf("%d of %d tuples in the store", m.StoreEntries, len(diskSeeds))
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qoeload: disk pre-runs: %v\n", err)
+		return 2
+	}
+	return 0
 }
 
 // parseBlend parses "cold:cached:dedup[:disk]" integer weights. The legacy

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/testlog"
 	"repro/pkg/qoe"
 	"repro/pkg/qoe/qoed"
 )
@@ -37,7 +38,7 @@ func TestDistributedGoldenOutputs(t *testing.T) {
 		t.Cleanup(func() { srv.Close(); daemon.Close() })
 		pool = append(pool, srv.URL)
 	}
-	fab, err := qoed.NewFabric(qoed.FabricConfig{Workers: pool, Logf: t.Logf})
+	fab, err := qoed.NewFabric(qoed.FabricConfig{Workers: pool, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

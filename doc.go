@@ -51,9 +51,7 @@
 // worker pool with deterministic per-experiment seeds — so `qoebench all`
 // does the transport/browser simulation work once, not once per experiment.
 // RunContext streams completed results to hooks in input order, which is
-// what Session builds its ordered event stream on; the old batch-only
-// runner.Run and the per-experiment convenience functions remain as
-// deprecated shims for one release.
+// what Session builds its ordered event stream on.
 //
 // The event core is allocation-free in steady state: simulator timers,
 // link frames, wire packets, and in-flight records all come from free lists

@@ -61,11 +61,8 @@ type Config struct {
 	// HTTPClient serves all workers (default http.DefaultClient; pass one
 	// without a global timeout, shard jobs run as long as the simulation).
 	HTTPClient *http.Client
-	// Logf, when set, receives one line per dispatch/retry event. When
-	// Logger is unset, events render through this seam ("msg key=value").
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured dispatch/retry/health events
-	// directly. It takes precedence over Logf.
+	// Logger receives structured dispatch/retry/health events (default:
+	// discard).
 	Logger *slog.Logger
 }
 
@@ -83,14 +80,7 @@ func (c Config) withDefaults() Config {
 		c.HTTPClient = http.DefaultClient
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = telemetry.LogfLogger(c.Logf)
-		} else {
-			c.Logger = telemetry.Discard
-		}
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
+		c.Logger = telemetry.Discard
 	}
 	return c
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/population"
+	"repro/internal/testlog"
 	"repro/pkg/qoe"
 )
 
@@ -232,7 +233,7 @@ func TestRetriesSurviveWorkerFaults(t *testing.T) {
 	for _, mode := range []string{"kill", "garble", "429"} {
 		t.Run(mode, func(t *testing.T) {
 			pool := workerPool(t, 3, map[int]func(http.Handler) http.Handler{0: failFirst(2, mode)})
-			c := newCoordinator(t, Config{Workers: pool, Scale: qoe.ScaleQuick, Seed: master, Logf: t.Logf})
+			c := newCoordinator(t, Config{Workers: pool, Scale: qoe.ScaleQuick, Seed: master, Logger: testlog.New(t)})
 			got, err := c.RunAB(context.Background(), cells, cfg)
 			if err != nil {
 				t.Fatalf("RunAB with %s fault: %v", mode, err)
@@ -398,7 +399,7 @@ func TestCheckWorkers(t *testing.T) {
 	deadSrv := httptest.NewServer(http.NotFoundHandler())
 	deadSrv.Close() // connection refused from here on
 
-	c := newCoordinator(t, Config{Workers: []string{live.URL, deadSrv.URL}, Logf: t.Logf})
+	c := newCoordinator(t, Config{Workers: []string{live.URL, deadSrv.URL}, Logger: testlog.New(t)})
 	if err := c.CheckWorkers(context.Background()); err != nil {
 		t.Fatalf("CheckWorkers with one live worker: %v", err)
 	}
@@ -560,7 +561,7 @@ func TestWorkersStatusObserved(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 
-	c := newCoordinator(t, Config{Workers: []string{metricful.URL, dead.URL}, Logf: t.Logf})
+	c := newCoordinator(t, Config{Workers: []string{metricful.URL, dead.URL}, Logger: testlog.New(t)})
 	if err := c.CheckWorkers(context.Background()); err != nil {
 		t.Fatal(err)
 	}

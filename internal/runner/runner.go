@@ -195,16 +195,6 @@ type Hooks struct {
 	Result func(i int, rep ExperimentReport, res experiments.Result)
 }
 
-// Run prewarms one shared testbed with the merged plan of all experiments,
-// then executes them on a worker pool.
-//
-// Deprecated: Run cannot be cancelled and observes nothing mid-batch; new
-// callers use RunContext (or pkg/qoe's Session, which wraps it). Kept as a
-// one-release shim for existing batch callers.
-func Run(exps []experiments.Experiment, opts Options) Report {
-	return RunContext(context.Background(), exps, opts, Hooks{})
-}
-
 // RunContext prewarms one shared testbed with the merged plan of all
 // experiments, then executes them on a worker pool. The returned report
 // lists results in input order regardless of completion order; a

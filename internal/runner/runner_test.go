@@ -35,11 +35,11 @@ func outputs(t *testing.T, rep Report) map[string]string {
 func TestParallelMatchesSequential(t *testing.T) {
 	exps := experiments.All()
 	opts := Options{Scale: tinyScale(), Seed: 77, Parallel: 1}
-	seq := outputs(t, Run(exps, opts))
+	seq := outputs(t, RunContext(context.Background(), exps, opts, Hooks{}))
 
 	opts.Parallel = 8
-	par := outputs(t, Run(exps, opts))
-	rerun := outputs(t, Run(exps, opts))
+	par := outputs(t, RunContext(context.Background(), exps, opts, Hooks{}))
+	rerun := outputs(t, RunContext(context.Background(), exps, opts, Hooks{}))
 
 	if len(seq) != len(exps) {
 		t.Fatalf("results = %d, want %d", len(seq), len(exps))
@@ -66,7 +66,7 @@ func TestEachConditionRecordedOnce(t *testing.T) {
 	nets, prots := MergePlan(exps)
 	want := len(scale.Sites) * len(nets) * len(prots)
 
-	rep := Run(exps, Options{Scale: scale, Seed: 1})
+	rep := RunContext(context.Background(), exps, Options{Scale: scale, Seed: 1}, Hooks{})
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMergePlan(t *testing.T) {
 // through the runner (the uniform -format contract of cmd/qoebench).
 func TestAllFormats(t *testing.T) {
 	for _, format := range []Format{CSV, JSON} {
-		rep := Run(experiments.All(), Options{Scale: tinyScale(), Seed: 3, Format: format})
+		rep := RunContext(context.Background(), experiments.All(), Options{Scale: tinyScale(), Seed: 3, Format: format}, Hooks{})
 		if err := rep.Err(); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
@@ -134,7 +134,7 @@ func TestAllFormats(t *testing.T) {
 // alongside it.
 func TestDerivedSeedsDiffer(t *testing.T) {
 	exps := experiments.All()
-	rep := Run(exps, Options{Scale: tinyScale(), Seed: 5})
+	rep := RunContext(context.Background(), exps, Options{Scale: tinyScale(), Seed: 5}, Hooks{})
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDerivedSeedsDiffer(t *testing.T) {
 	}
 	// fig5 alone matches fig5 within the batch.
 	fig5, _ := experiments.Lookup("fig5")
-	solo := Run([]experiments.Experiment{fig5}, Options{Scale: tinyScale(), Seed: 5})
+	solo := RunContext(context.Background(), []experiments.Experiment{fig5}, Options{Scale: tinyScale(), Seed: 5}, Hooks{})
 	if err := solo.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunContextCanceled(t *testing.T) {
 		t.Fatal("no experiment was marked cancelled — cancellation did not interrupt the batch")
 	}
 	// Shared state is not corrupted: an immediate fresh run succeeds fully.
-	fresh := Run(exps, Options{Scale: tinyScale(), Seed: 4, Parallel: 1})
+	fresh := RunContext(context.Background(), exps, Options{Scale: tinyScale(), Seed: 4, Parallel: 1}, Hooks{})
 	if err := fresh.Err(); err != nil {
 		t.Fatalf("batch after cancellation failed: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestRunContextCanceledDuringPrewarm(t *testing.T) {
 // TestReportSummary: the summary line carries the cache accounting.
 func TestReportSummary(t *testing.T) {
 	table1, _ := experiments.Lookup("table1")
-	rep := Run([]experiments.Experiment{table1}, Options{Scale: tinyScale(), Seed: 1})
+	rep := RunContext(context.Background(), []experiments.Experiment{table1}, Options{Scale: tinyScale(), Seed: 1}, Hooks{})
 	var buf bytes.Buffer
 	if err := rep.WriteOutputs(&buf); err != nil {
 		t.Fatal(err)

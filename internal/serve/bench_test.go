@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/pkg/qoe"
 )
@@ -85,14 +84,10 @@ func BenchmarkServeDiskHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	id := spec.ID()
-	// The warmup response returns as soon as the bytes stream; the publish to
-	// the RAM + disk tiers happens just after. Wait for it so the timed loop
-	// never dedups onto the still-live warmup job.
-	for deadline := time.Now().Add(5 * time.Second); !s.store.Has(id) || s.cache.entries() == 0; {
-		if time.Now().After(deadline) {
-			b.Fatal("warmup run never published to the store")
-		}
-		time.Sleep(time.Millisecond)
+	// A finished response means the run is published to both tiers, so the
+	// timed loop never dedups onto the warmup job.
+	if !s.store.Has(id) || s.cache.entries() != 1 {
+		b.Fatal("warmup run not published to the RAM and disk tiers")
 	}
 	client := &http.Client{}
 	b.ReportAllocs()

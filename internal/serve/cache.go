@@ -2,8 +2,71 @@ package serve
 
 import (
 	"container/list"
+	"expvar"
 	"sync"
 )
+
+// tier is one link of the chain of finished tiers the server walks, fastest
+// first: the RAM LRU, then (when mounted) the disk spill store. Every tier
+// holds only complete, summary-terminated streams keyed by content address,
+// so a hit anywhere replays exactly the bytes a fresh simulation would
+// produce.
+type tier struct {
+	source string      // X-Qoe-Source header value: "cache" or "disk"
+	class  string      // latency-histogram class and admit-span outcome
+	hits   *expvar.Int // the tier's cache_hits_* counter
+	get    func(id string) (data []byte, key string, ok bool)
+	has    func(id string) bool // existence only: no read, no recency bump
+}
+
+// fetch walks the finished tiers in order and returns the first hit,
+// counting it once on that tier. A hit below RAM is content-address checked
+// — a renamed or cross-wired spill file is internally consistent, so its
+// frame checksum alone cannot catch it — and published, which promotes it
+// into RAM and demotes RAM's evictees to disk.
+func (s *Server) fetch(id string, tiers []*tier) (data []byte, key string, t *tier, ok bool) {
+	for _, t = range tiers {
+		if data, key, ok = t.get(id); !ok {
+			continue
+		}
+		if t != s.tiers[0] {
+			if idFromKey(key) != id {
+				s.log.Warn("spill entry fails content-address check; ignoring", "id", id, "key", key)
+				continue
+			}
+			s.publish(id, key, data)
+		}
+		t.hits.Add(1)
+		return data, key, t, true
+	}
+	return nil, "", nil, false
+}
+
+// has is fetch's existence-only form: the first tier holding id, or nil.
+// Nothing is read, promoted or counted.
+func (s *Server) has(id string) *tier {
+	for _, t := range s.tiers {
+		if t.has(id) {
+			return t
+		}
+	}
+	return nil
+}
+
+// publish is the only write into the finished tiers: the stream enters the
+// RAM LRU and, write-through, the spill store, and RAM's evictees demote to
+// disk. Re-publishing a committed spill entry costs the store one stat.
+func (s *Server) publish(id, key string, data []byte) {
+	evicted := s.cache.add(id, key, data)
+	if s.store == nil {
+		return
+	}
+	for _, e := range append(evicted, &cacheEntry{id: id, key: key, data: data}) {
+		if err := s.store.Put(e.id, e.key, e.data); err != nil {
+			s.log.Warn("writing to disk failed", "id", e.id, "err", err)
+		}
+	}
+}
 
 // resultCache is the content-addressed LRU over finished run streams: ID →
 // the complete NDJSON bytes of that canonical tuple's run. Because runs are
@@ -45,6 +108,14 @@ func (c *resultCache) get(id string) ([]byte, string, bool) {
 	c.order.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
 	return ent.data, ent.key, true
+}
+
+// has reports whether id is cached, without promoting it.
+func (c *resultCache) has(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.byID[id]
+	return ok
 }
 
 // add inserts a finished run, evicting least-recently-used entries until the

@@ -320,14 +320,6 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, subsc
 	s.met.bytesStreamed.Add(n)
 }
 
-// tierClass maps a finished-tier name onto its latency-histogram class.
-func tierClass(tier string) string {
-	if tier == "disk" {
-		return "disk"
-	}
-	return "mem"
-}
-
 // streamAdmission streams whatever admit routed the request to: cached
 // bytes (from whichever tier answered) or a live job (whose subscription
 // the admission already holds). start anchors the request's latency
@@ -336,8 +328,8 @@ func tierClass(tier string) string {
 // dedup for riders on someone else's live job.
 func (s *Server) streamAdmission(w http.ResponseWriter, r *http.Request, adm admission, start time.Time) {
 	if adm.cached != nil {
-		s.replayCached(w, adm.id, adm.source, adm.cached)
-		s.lat.Observe(tierClass(adm.source), time.Since(start))
+		s.replayCached(w, adm.id, adm.tier.source, adm.cached)
+		s.lat.Observe(adm.tier.class, time.Since(start))
 		return
 	}
 	s.streamJob(w, r, adm.j, true)
@@ -362,27 +354,14 @@ func (s *Server) streamAdmission(w http.ResponseWriter, r *http.Request, adm adm
 func (s *Server) handleWarmProbe(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if r.Method == http.MethodHead {
-		// Existence only — one map probe or one stat, no bytes read, no
-		// tier counters (nothing was served).
-		if _, _, ok := s.cache.get(id); ok {
-			streamHeaders(w, id, "cache")
+		// Existence only — no bytes read, no tier counters (nothing was
+		// served).
+		if t := s.has(id); t != nil {
+			streamHeaders(w, id, t.source)
 			return
 		}
-		if s.store != nil && s.store.Has(id) {
-			streamHeaders(w, id, "disk")
-			return
-		}
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "serve: run " + id + " is not warm here"})
-		return
-	}
-	if data, _, ok := s.cache.get(id); ok {
-		s.met.cacheHitsMem.Add(1)
-		s.replayCached(w, id, "cache", data)
-		return
-	}
-	if data, _, ok := s.diskGetKeyed(id); ok {
-		s.met.cacheHitsDisk.Add(1)
-		s.replayCached(w, id, "disk", data)
+	} else if data, _, t, ok := s.fetch(id, s.tiers); ok {
+		s.replayCached(w, id, t.source, data)
 		return
 	}
 	writeJSON(w, http.StatusNotFound, errorBody{Error: "serve: run " + id + " is not warm here"})
@@ -397,7 +376,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	id := r.PathValue("id")
-	j, cached, _, tier, ok := s.lookup(id)
+	j, cached, _, t, ok := s.lookup(id)
 	if !ok {
 		// A completed run whose bytes were evicted is transparently re-run:
 		// the ID is a content address of the spec, and determinism makes
@@ -420,8 +399,8 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j == nil {
-		s.replayCached(w, id, tier, cached)
-		s.lat.Observe(tierClass(tier), time.Since(start))
+		s.replayCached(w, id, t.source, cached)
+		s.lat.Observe(t.class, time.Since(start))
 		return
 	}
 	// Attaching by ID is deliberate: if attach is refused, the job is

@@ -36,9 +36,14 @@ func (s jobState) String() string {
 // byte or mid-run — observes the identical byte stream.
 //
 // The buffer is append-only, which is what makes lock-light broadcast safe:
-// a subscriber snapshots buf[off:len(buf)] under the mutex and writes it to
-// its client outside the lock; a concurrent append may grow (and reallocate)
-// the slice, but the snapshot's backing array is never mutated.
+// a subscriber snapshots a prefix of buf under the mutex and writes it to its
+// client outside the lock; a concurrent append may grow (and reallocate) the
+// slice, but the snapshot's backing array is never mutated.
+//
+// The latest Write is held back from subscribers until finish. A run's last
+// write carries its summary line, so no client — qoe.Client stops reading at
+// the summary — learns a run is complete before the server has published it
+// to the finished tiers and retired it from the live table.
 type job struct {
 	id   string
 	key  string
@@ -66,6 +71,7 @@ type job struct {
 	mu         sync.Mutex
 	wake       *sync.Cond // broadcast on append, finish, and subscriber ctx expiry
 	buf        []byte
+	held       int // length of the latest Write, withheld until finish
 	state      jobState
 	err        error
 	subs       int  // attached subscribers
@@ -85,11 +91,13 @@ func newJob(id, key string, spec RunSpec, runCtx context.Context, cancel context
 	return j
 }
 
-// Write appends one chunk of the run's NDJSON stream and wakes subscribers.
-// It is the io.Writer behind the worker's qoe.StreamSink.
+// Write appends one chunk of the run's NDJSON stream, releases the chunk
+// before it to subscribers and wakes them. It is the io.Writer behind the
+// worker's qoe.StreamSink.
 func (j *job) Write(p []byte) (int, error) {
 	j.mu.Lock()
 	j.buf = append(j.buf, p...)
+	j.held = len(p)
 	j.mu.Unlock()
 	j.wake.Broadcast()
 	return len(p), nil
@@ -103,16 +111,24 @@ func (j *job) start() {
 	j.wake.Broadcast()
 }
 
-// finish seals the job: no more bytes will arrive. It returns the final
-// buffer so the caller can move it into the result cache.
-func (j *job) finish(err error) []byte {
+// finish seals the job and releases every byte to subscribers, the held-back
+// latest write included — on failure too, so a dead run's partial stream is
+// served whole.
+func (j *job) finish(err error) {
 	j.mu.Lock()
 	j.state = jobDone
 	j.err = err
-	buf := j.buf
+	j.held = 0
 	j.mu.Unlock()
 	j.wake.Broadcast()
-	return buf
+}
+
+// bytes returns the job's buffer. Once the producer has returned it is the
+// complete stream, which the completion path publishes before finish.
+func (j *job) bytes() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.buf
 }
 
 // tombstoneBufCap bounds how much of a failed run's partial stream a
@@ -230,10 +246,11 @@ func (j *job) stream(ctx context.Context, w io.Writer) (int64, error) {
 	off := 0
 	for {
 		j.mu.Lock()
-		for off == len(j.buf) && j.state != jobDone && ctx.Err() == nil {
+		for off == len(j.buf)-j.held && j.state != jobDone && ctx.Err() == nil {
 			j.wake.Wait()
 		}
-		chunk := j.buf[off:len(j.buf):len(j.buf)]
+		end := len(j.buf) - j.held
+		chunk := j.buf[off:end:end]
 		state, jerr := j.state, j.err
 		j.mu.Unlock()
 

@@ -57,12 +57,8 @@ type Config struct {
 	CacheBytes int64
 	// RetryAfter is the hint returned with 429 responses (default 2s).
 	RetryAfter time.Duration
-	// Logf, when set, receives one line per run lifecycle event. When Logger
-	// is unset, lifecycle events render through this seam ("msg key=value"),
-	// so legacy capture hooks keep seeing every event.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured lifecycle events directly. It
-	// takes precedence over Logf.
+	// Logger receives structured lifecycle events, the spill store's
+	// quarantine and sweep lines included (default: discard).
 	Logger *slog.Logger
 	// Tracer, when set, records run-lifecycle spans (admission, queue wait,
 	// simulate, publish, disk and peer tiers) under the run's deterministic
@@ -112,14 +108,7 @@ func (c Config) withDefaults() Config {
 		c.RetryAfter = 2 * time.Second
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = telemetry.LogfLogger(c.Logf)
-		} else {
-			c.Logger = telemetry.Discard
-		}
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
+		c.Logger = telemetry.Discard
 	}
 	return c
 }
@@ -174,6 +163,7 @@ type Server struct {
 	mux       *http.ServeMux
 	cache     *resultCache
 	store     *store.Store // durable spill tier; nil when StoreDir unset
+	tiers     []*tier      // finished tiers, fastest first: RAM, then disk
 	peers     []*qoe.Client
 	met       *metrics
 	runFn     runFunc
@@ -271,7 +261,7 @@ func Open(cfg Config) (*Server, error) {
 		cfg.Fabric.SetTracer(cfg.Tracer)
 	}
 	if cfg.StoreDir != "" {
-		st, err := store.Open(cfg.StoreDir, cfg.Logf)
+		st, err := store.Open(cfg.StoreDir, cfg.Logger)
 		if err != nil {
 			return nil, err
 		}
@@ -289,6 +279,10 @@ func Open(cfg Config) (*Server, error) {
 	s.runFn = s.defaultRun
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.met = newMetrics(s)
+	s.tiers = []*tier{{source: "cache", class: "mem", hits: &s.met.cacheHitsMem, get: s.cache.get, has: s.cache.has}}
+	if s.store != nil {
+		s.tiers = append(s.tiers, &tier{source: "disk", class: "disk", hits: &s.met.cacheHitsDisk, get: s.store.Get, has: s.store.Has})
+	}
 	s.mux = s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -307,7 +301,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 type admission struct {
 	j       *job   // non-nil: attached to this live job (one subscription held)
 	cached  []byte // non-nil: replay these finished bytes
-	source  string // tier that supplied cached: "cache" (RAM) or "disk"
+	tier    *tier  // the finished tier that supplied cached
 	key     string // canonical tuple (always set)
 	id      string // canonical ID (always set)
 	created bool   // this request created (and enqueued) the job
@@ -365,9 +359,9 @@ func (s *Server) admitTraced(spec RunSpec, ephemeral bool, traceparent string) (
 			traceID, parentSpan = tid, p
 		}
 	}
-	// Fast pass under the lock: dedup and the RAM tier. The disk tier is
-	// probed between the two passes with the lock RELEASED — file I/O on the
-	// admission path must never stall every other request's ~100µs RAM hit.
+	// Fast pass under the lock: dedup onto a live job. The finished tiers
+	// are walked with the lock RELEASED — file I/O on the admission path must
+	// never stall every other request's ~100µs RAM hit.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -382,30 +376,22 @@ func (s *Server) admitTraced(spec RunSpec, ephemeral bool, traceparent string) (
 	// Either no live job, or attach refused it: the job was abandoned (its
 	// last one-shot client disconnected and cancelled it) or already failed,
 	// and is still unwinding. Don't glue new clients to a doomed run — fall
-	// through to the cache and, on miss, start a fresh job. The doomed job's
-	// runJob only retires its own table entry (identity-checked), so
-	// overwriting live[id] is safe.
-	if data, _, ok := s.cache.get(id); ok {
-		s.met.runsCacheHit.Add(1)
-		s.met.cacheHitsMem.Add(1)
-		s.mu.Unlock()
-		s.traceAdmit(traceID, parentSpan, admitStart, "mem")
-		return admission{cached: data, source: "cache", key: key, id: id}, nil
-	}
+	// through to the finished tiers and, on miss, start a fresh job. The
+	// doomed job's runJob only retires its own table entry (identity-checked),
+	// so overwriting live[id] is safe.
 	s.mu.Unlock()
-
-	diskStart := time.Now()
-	if data, ok := s.diskGet(id); ok {
+	if data, _, t, ok := s.fetch(id, s.tiers); ok {
 		s.met.runsCacheHit.Add(1)
-		s.met.cacheHitsDisk.Add(1)
-		s.tr.Record(traceID, "disk_read", parentSpan, diskStart, time.Now())
-		s.traceAdmit(traceID, parentSpan, admitStart, "disk")
-		return admission{cached: data, source: "disk", key: key, id: id}, nil
+		if t != s.tiers[0] {
+			s.tr.Record(traceID, "disk_read", parentSpan, admitStart, time.Now())
+		}
+		s.traceAdmit(traceID, parentSpan, admitStart, t.class)
+		return admission{cached: data, tier: t, key: key, id: id}, nil
 	}
 
-	// Slow pass: re-check under the lock (a concurrent request may have
-	// created or completed this tuple while we probed disk) and create the
-	// job atomically with its table entry.
+	// Slow pass: re-check live and RAM under the lock (a concurrent request
+	// may have created or completed this tuple while we probed disk) and
+	// create the job atomically with its table entry.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -416,11 +402,10 @@ func (s *Server) admitTraced(spec RunSpec, ephemeral bool, traceparent string) (
 		s.traceAdmit(traceID, parentSpan, admitStart, "dedup")
 		return admission{j: j, key: key, id: id}, nil
 	}
-	if data, _, ok := s.cache.get(id); ok {
+	if data, _, t, ok := s.fetch(id, s.tiers[:1]); ok {
 		s.met.runsCacheHit.Add(1)
-		s.met.cacheHitsMem.Add(1)
-		s.traceAdmit(traceID, parentSpan, admitStart, "mem")
-		return admission{cached: data, source: "cache", key: key, id: id}, nil
+		s.traceAdmit(traceID, parentSpan, admitStart, t.class)
+		return admission{cached: data, tier: t, key: key, id: id}, nil
 	}
 	runCtx, cancel := context.WithCancel(s.baseCtx)
 	j := newJob(id, key, spec, runCtx, cancel, ephemeral)
@@ -448,86 +433,27 @@ func (s *Server) admitTraced(spec RunSpec, ephemeral bool, traceparent string) (
 	return admission{j: j, key: key, id: id, created: true}, nil
 }
 
-// lookup finds an existing run by ID: the live job, the cached bytes (RAM,
-// then disk — a disk hit promotes), or a failed-run tombstone (in that
-// order — a fresh success must shadow an old failure). tier names the
-// finished tier that supplied data ("cache" or "disk"); it is empty when a
+// lookup finds an existing run by ID: the live job, the finished tiers, or a
+// failed-run tombstone (in that order — a fresh success must shadow an old
+// failure). t names the finished tier that supplied data; it is nil when a
 // job is returned instead.
-func (s *Server) lookup(id string) (j *job, data []byte, key, tier string, ok bool) {
+func (s *Server) lookup(id string) (j *job, data []byte, key string, t *tier, ok bool) {
 	s.mu.Lock()
 	j, ok = s.live[id]
 	s.mu.Unlock()
 	if ok {
-		return j, nil, j.key, "", true
+		return j, nil, j.key, nil, true
 	}
-	if data, key, ok := s.cache.get(id); ok {
-		s.met.cacheHitsMem.Add(1)
-		return nil, data, key, "cache", true
-	}
-	if data, key, ok := s.diskGetKeyed(id); ok {
-		s.met.cacheHitsDisk.Add(1)
-		return nil, data, key, "disk", true
+	if data, key, t, ok := s.fetch(id, s.tiers); ok {
+		return nil, data, key, t, true
 	}
 	s.mu.Lock()
 	j, ok = s.failed[id]
 	s.mu.Unlock()
 	if ok {
-		return j, nil, j.key, "", true
+		return j, nil, j.key, nil, true
 	}
-	return nil, nil, "", "", false
-}
-
-// diskGet reads id from the spill store, promoting a hit into the RAM tier.
-func (s *Server) diskGet(id string) ([]byte, bool) {
-	data, _, ok := s.diskGetKeyed(id)
-	return data, ok
-}
-
-// diskGetKeyed is diskGet returning the entry's canonical key too. The
-// content address is re-verified on the way in: an entry whose recorded key
-// does not hash back to the requested ID (a renamed or cross-wired file —
-// internally consistent, so the frame checksum alone cannot catch it) is
-// logged and treated as a miss, never served.
-func (s *Server) diskGetKeyed(id string) ([]byte, string, bool) {
-	if s.store == nil {
-		return nil, "", false
-	}
-	data, key, ok := s.store.Get(id)
-	if !ok {
-		return nil, "", false
-	}
-	if idFromKey(key) != id {
-		s.log.Warn("spill entry fails content-address check; ignoring", "id", id, "key", key)
-		return nil, "", false
-	}
-	s.spill(s.cache.add(id, key, data))
-	return data, key, true
-}
-
-// spill demotes RAM-evicted entries to the disk tier (best effort: the write
-// path already wrote every finished stream through, so this is usually one
-// stat per entry — it only writes when the original write-through failed or
-// the entry was quarantined since).
-func (s *Server) spill(evicted []*cacheEntry) {
-	if s.store == nil {
-		return
-	}
-	for _, e := range evicted {
-		if err := s.store.Put(e.id, e.key, e.data); err != nil {
-			s.log.Warn("demoting to disk failed", "id", e.id, "err", err)
-		}
-	}
-}
-
-// publish moves one finished stream into the durable tiers: the RAM cache
-// (evictees demoting to disk) and, write-through, the spill store.
-func (s *Server) publish(id, key string, data []byte) {
-	s.spill(s.cache.add(id, key, data))
-	if s.store != nil {
-		if err := s.store.Put(id, key, data); err != nil {
-			s.log.Warn("spilling to disk failed", "id", id, "err", err)
-		}
-	}
+	return nil, nil, "", nil, false
 }
 
 // worker consumes jobs until the queue closes at drain.
@@ -538,14 +464,14 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job, seals its buffer, retires it from the
-// singleflight table, and — for clean completions only — moves the bytes
-// into the result cache and spill store. Failed or cancelled runs are never
-// cached, so the cached tiers hold nothing but complete, summary-terminated
-// streams. When peers are configured, a fill from a warm peer pre-empts the
-// simulation entirely: the fetched bytes flow through the job's broadcast
-// buffer exactly as simulated bytes would, so concurrent waiters can't tell
-// the difference — and runs_started stays untouched, because nothing ran.
+// runJob executes one job. A clean completion goes through complete; a
+// failed or cancelled run releases its partial bytes and is tombstoned,
+// never cached, so the finished tiers hold nothing but complete,
+// summary-terminated streams. When peers are configured, a fill from a warm
+// peer pre-empts the simulation entirely: the fetched bytes flow through the
+// job's broadcast buffer exactly as simulated bytes would, so concurrent
+// waiters can't tell the difference — and runs_started stays untouched,
+// because nothing ran.
 func (s *Server) runJob(j *job) {
 	// The root "run" span opens retroactively at enqueue time, so its
 	// duration is the client-visible queue-wait + execution wall; the
@@ -564,7 +490,6 @@ func (s *Server) runJob(j *job) {
 		s.tr.Record(j.traceID, "queue_wait", root.ID(), j.enqueued, time.Now())
 	}
 	if s.peerFill(j, root) {
-		root.End()
 		return
 	}
 	s.met.runsStarted.Add(1)
@@ -578,28 +503,34 @@ func (s *Server) runJob(j *job) {
 	}
 	err := s.runFn(runCtx, j.spec, j)
 	sim.EndErr(err)
-	buf := j.finish(err)
-
-	if err == nil {
-		// Publish to the cache BEFORE retiring the live entry, so an
-		// identical request arriving in between finds one of the two — the
-		// tuple is never simulated twice. j.cancel() waits until the very
-		// end for the same reason: admit must never observe a successful
-		// job in a visibly-cancelled intermediate state.
-		s.met.runsCompleted.Add(1)
-		pub := s.tr.Start(j.traceID, "publish", root.ID())
-		s.publish(j.id, j.key, buf)
-		pub.End()
-	} else {
-		s.met.runsFailed.Add(1)
-	}
-	root.EndErr(err)
-	s.retire(j, err, buf)
 	if err != nil {
+		j.finish(err) // before retire: the tombstone records j.err
+		s.met.runsFailed.Add(1)
+		root.EndErr(err)
+		s.retire(j, err, 0)
 		s.log.Error("run failed", "id", j.id, "err", err)
 		return
 	}
-	s.log.Info("run done", "id", j.id, "bytes", len(buf))
+	s.met.runsCompleted.Add(1)
+	s.log.Info("run done", "id", j.id, "bytes", s.complete(j, root))
+}
+
+// complete finishes a successful run, simulated or peer-filled, in the one
+// order that makes a summary line a promise: publish the bytes to the
+// finished tiers, retire the job from the live table and record it as done,
+// end the root span, and only then release the held-back final write. A
+// client holding the summary therefore finds the run in the tiers, and its
+// repeat request is a tier hit — never a dedup onto a job about to vanish,
+// never a second simulation. It returns the stream's length.
+func (s *Server) complete(j *job, root *telemetry.Span) int {
+	buf := j.bytes()
+	pub := s.tr.Start(j.traceID, "publish", root.ID())
+	s.publish(j.id, j.key, buf)
+	pub.End()
+	s.retire(j, nil, len(buf))
+	root.End()
+	j.finish(nil)
+	return len(buf)
 }
 
 // retire removes a finished job from the singleflight table and records its
@@ -611,12 +542,12 @@ func (s *Server) runJob(j *job) {
 // not plant a stale tombstone (or done record) that would shadow the
 // newer attempt's result. Its bytes are still fine to cache:
 // determinism makes them valid for the tuple regardless of attempt.
-func (s *Server) retire(j *job, err error, buf []byte) {
+func (s *Server) retire(j *job, err error, n int) {
 	s.mu.Lock()
 	if s.live[j.id] == j {
 		delete(s.live, j.id)
 		if err == nil {
-			s.rememberDoneLocked(j, len(buf))
+			s.rememberDoneLocked(j, n)
 		} else if _, succeeded := s.done[j.id]; !succeeded {
 			// Tombstone only tuples that have never completed: a failure
 			// after a recorded success (an abandoned one-shot re-run, a drain
@@ -635,10 +566,11 @@ func (s *Server) retire(j *job, err error, buf []byte) {
 // bytes or 404 — a peer never simulates for us, so fills cannot cascade
 // through the fleet), and the fetched bytes are validated end to end by the
 // client before this returns them. On success the bytes flow through the
-// job's broadcast buffer and into both local tiers; every concurrent waiter
-// deduplicated onto j is served by this one probe. Shard sub-jobs are
-// exempt: their streams are per-shard aggregate states, not run events, and
-// the fabric's worker affinity already routes them to warm workers.
+// job's broadcast buffer and complete like a simulated run's; every
+// concurrent waiter deduplicated onto j is served by this one probe. Shard
+// sub-jobs are exempt: their streams are per-shard aggregate states, not run
+// events, and the fabric's worker affinity already routes them to warm
+// workers.
 func (s *Server) peerFill(j *job, root *telemetry.Span) bool {
 	if len(s.peers) == 0 || j.spec.Shard != nil {
 		return false
@@ -660,14 +592,9 @@ func (s *Server) peerFill(j *job, root *telemetry.Span) bool {
 		j.start()
 		_, _ = j.Write(data)
 		j.markPeerFilled()
-		buf := j.finish(nil)
 		fill.End()
 		s.met.cacheHitsPeer.Add(1)
-		pub := s.tr.Start(j.traceID, "publish", root.ID())
-		s.publish(j.id, j.key, buf)
-		pub.End()
-		s.retire(j, nil, buf)
-		s.log.Info("run filled from peer", "id", j.id, "peer", s.cfg.Peers[i], "bytes", len(buf))
+		s.log.Info("run filled from peer", "id", j.id, "peer", s.cfg.Peers[i], "bytes", s.complete(j, root))
 		return true
 	}
 	return false

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -603,17 +605,13 @@ func TestOpenFailsOnUnusableStoreDir(t *testing.T) {
 	if _, err := Open(Config{Workers: 1, StoreDir: dir}); err == nil {
 		t.Fatal("Open with an unusable store dir did not error")
 	}
-	var logged atomic.Int64
-	s := New(Config{Workers: 1, StoreDir: dir, Logf: func(format string, args ...any) {
-		if len(args) > 0 {
-			logged.Add(1)
-		}
-	}})
+	var logged bytes.Buffer
+	s := New(Config{Workers: 1, StoreDir: dir, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	t.Cleanup(s.Close)
 	if s.store != nil {
 		t.Fatal("New kept a broken store")
 	}
-	if logged.Load() == 0 {
-		t.Fatal("New did not log the degraded store")
+	if !strings.Contains(logged.String(), "disk store disabled") {
+		t.Fatalf("New did not log the degraded store: %q", logged.String())
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/telemetry"
+	"repro/internal/testlog"
 	"repro/pkg/qoe"
 )
 
@@ -67,30 +68,26 @@ func spanAttr(sp telemetry.SpanRecord, key string) string {
 	return ""
 }
 
-// fetchClosedTrace polls /debug/trace/{id} until the root "run" span has
-// closed (the stream returns as soon as the broadcast seals; the root span
-// and publish land just after) and returns the dump.
+// fetchClosedTrace fetches /debug/trace/{id} and asserts its root "run"
+// span has closed: the root span ends before the run's summary is released,
+// so a client holding the summary always finds a closed trace.
 func fetchClosedTrace(t *testing.T, baseURL, id string) telemetry.TraceDump {
 	t.Helper()
-	var dump telemetry.TraceDump
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		code, body := get(t, baseURL+"/debug/trace/"+id)
-		if code == http.StatusOK {
-			if err := json.Unmarshal(body, &dump); err != nil {
-				t.Fatalf("trace dump not JSON: %v\n%s", err, body)
-			}
-			for _, sp := range dump.Spans {
-				if sp.Name == "run" && sp.Origin == "" && sp.DurNS > 0 {
-					return dump
-				}
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace for %s never closed its root span (last status %d)", id, code)
-		}
-		time.Sleep(10 * time.Millisecond)
+	code, body := get(t, baseURL+"/debug/trace/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("trace for %s = %d %s", id, code, body)
 	}
+	var dump telemetry.TraceDump
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatalf("trace dump not JSON: %v\n%s", err, body)
+	}
+	for _, sp := range dump.Spans {
+		if sp.Name == "run" && sp.Origin == "" && sp.DurNS > 0 {
+			return dump
+		}
+	}
+	t.Fatalf("trace for %s has no closed root span", id)
+	return dump
 }
 
 // TestStitchedTraceSurvivesWorkerKill is the distributed acceptance scenario:
@@ -112,7 +109,7 @@ func TestStitchedTraceSurvivesWorkerKill(t *testing.T) {
 		_, ts := newTraceWorker(t, wrap)
 		pool[i] = ts.URL
 	}
-	fab, err := fabric.New(fabric.Config{Workers: pool, Backoff: time.Millisecond, Logf: t.Logf})
+	fab, err := fabric.New(fabric.Config{Workers: pool, Backoff: time.Millisecond, Logger: testlog.New(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,16 +302,10 @@ func cachedPathAllocs(t *testing.T, tr *telemetry.Tracer) float64 {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("warm run = %d %s", rec.Code, rec.Body.Bytes())
 	}
-	// The warm response returns when the broadcast seals; wait for the bytes
-	// to land in the RAM tier so every measured request is a pure cache hit.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if _, _, ok := s.cache.get(spec.ID()); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("warm run never published to the cache")
-		}
-		time.Sleep(time.Millisecond)
+	// The run is published before its response completes, so every
+	// measured request is a pure cache hit.
+	if !s.cache.has(spec.ID()) {
+		t.Fatal("warm run not published to the cache")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		w := httptest.NewRecorder()

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,8 +64,8 @@ var (
 // filesystem provides write atomicity (temp + rename), and the struct's own
 // mutex only guards the accounting gauges.
 type Store struct {
-	dir  string
-	logf func(format string, args ...any)
+	dir string
+	log *slog.Logger
 
 	mu          sync.Mutex
 	entries     int
@@ -76,15 +77,16 @@ type Store struct {
 // of any mid-write death: temp files are deleted — their entries were never
 // committed, so the runs simply re-simulate on demand. Committed entries are
 // inventoried by size only; frames are verified lazily on first read, so a
-// large store opens in O(entries) stats, not O(bytes) checksums.
-func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
+// large store opens in O(entries) stats, not O(bytes) checksums. A nil log
+// discards the sweep and quarantine lines.
+func Open(dir string, log *slog.Logger) (*Store, error) {
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, logf: logf}
+	s := &Store{dir: dir, log: log}
 	glob, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -96,9 +98,9 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 			// A writer died mid-frame; the rename never happened, so this is
 			// not (and never was) an entry.
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				logf("store: sweeping stale temp %s: %v", name, err)
+				log.Warn("store: sweeping stale temp failed", "file", name, "err", err)
 			} else {
-				logf("store: swept stale temp %s (writer died mid-write)", name)
+				log.Info("store: swept stale temp (writer died mid-write)", "file", name)
 			}
 		case strings.HasSuffix(name, entrySuffix):
 			if info, err := de.Info(); err == nil {
@@ -294,7 +296,7 @@ func (s *Store) quarantine(id string, reason error) {
 		// Renaming failed (e.g. the file vanished); removing is the fallback
 		// that still unmasks the ID.
 		if rmErr := os.Remove(src); rmErr != nil && !errors.Is(rmErr, fs.ErrNotExist) {
-			s.logf("store: quarantining corrupt entry %s: rename: %v, remove: %v", id, err, rmErr)
+			s.log.Error("store: quarantining corrupt entry failed", "id", id, "rename_err", err, "remove_err", rmErr)
 			return
 		}
 		dst = "(removed)"
@@ -304,7 +306,7 @@ func (s *Store) quarantine(id string, reason error) {
 	s.bytes -= size
 	s.quarantined++
 	s.mu.Unlock()
-	s.logf("store: quarantined corrupt entry %s -> %s: %v (will re-simulate on demand)", id, dst, reason)
+	s.log.Warn("store: quarantined corrupt entry (will re-simulate on demand)", "id", id, "moved_to", dst, "reason", reason)
 }
 
 // Entries reports the committed entry count.

@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/testlog"
 )
 
 func openTemp(t *testing.T) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := Open(dir, t.Logf)
+	s, err := Open(dir, testlog.New(t))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -102,7 +104,7 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("half-a-frame"), 0o644); err != nil {
 		t.Fatalf("plant temp: %v", err)
 	}
-	s, err := Open(dir, t.Logf)
+	s, err := Open(dir, testlog.New(t))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -121,7 +123,7 @@ func TestOpenInventoriesExistingEntries(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	s2, err := Open(dir, t.Logf)
+	s2, err := Open(dir, testlog.New(t))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

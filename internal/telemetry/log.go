@@ -1,20 +1,17 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Structured logging for the fleet. cmd/qoed builds one slog.Logger from
 // -log-level/-log-format and hands it down through the serve and fabric
-// configs; library code that still exposes the legacy Logf func(format, ...)
-// seam (many tests inject it) is bridged the other way by LogfLogger, so
-// both styles converge on slog.Handler.
+// configs (and from serve into the spill store); *slog.Logger is the only
+// logging seam.
 
 // NewLogger builds a logger writing to w. level is one of debug, info, warn,
 // error (default info); format is text or json (default text).
@@ -43,95 +40,9 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	}
 }
 
-// LogfLogger wraps a legacy printf-style sink as a slog.Logger: each record
-// renders as "msg key=value …" through one Logf call. A nil logf yields a
-// logger that discards everything.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(&logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	group string
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return h.logf != nil && level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	// Pre-bound attrs carry their group prefix from WithAttrs time; only
-	// record attrs take the handler's current group.
-	for _, a := range h.attrs {
-		writeAttr(&b, "", a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		writeAttr(&b, h.group, a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func writeAttr(b *strings.Builder, group string, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	b.WriteByte(' ')
-	if group != "" {
-		b.WriteString(group)
-		b.WriteByte('.')
-	}
-	b.WriteString(a.Key)
-	b.WriteByte('=')
-	v := a.Value.Resolve()
-	if v.Kind() == slog.KindTime {
-		b.WriteString(v.Time().Format(time.RFC3339))
-		return
-	}
-	s := v.String()
-	if strings.ContainsAny(s, " \t\n\"") {
-		fmt.Fprintf(b, "%q", s)
-		return
-	}
-	b.WriteString(s)
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := *h
-	nh.attrs = append([]slog.Attr(nil), h.attrs...)
-	for _, a := range attrs {
-		if h.group != "" {
-			a.Key = h.group + "." + a.Key
-		}
-		nh.attrs = append(nh.attrs, a)
-	}
-	return &nh
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	nh := *h
-	if nh.group != "" {
-		nh.group += "." + name
-	} else {
-		nh.group = name
-	}
-	return &nh
-}
-
 // Discard is a logger that drops every record — the default for library
-// configs whose caller provided neither a Logger nor a Logf.
-var Discard = slog.New(discardHandler{})
-
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
+// configs whose caller provided no Logger.
+var Discard = slog.New(slog.DiscardHandler)
 
 // OnceMap suppresses repeat log events for the same key (worker health flaps
 // would otherwise spam one line per retry attempt). First returns true only

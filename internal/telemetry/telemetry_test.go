@@ -353,27 +353,6 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-func TestLogfLoggerBridge(t *testing.T) {
-	var lines []string
-	lg := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	lg.Info("worker unhealthy", "worker", "http://w1", "attempt", 2)
-	lg.Debug("invisible") // below bridge threshold
-	lg.With("job", "j1").WithGroup("shard").Warn("retry", "range", "0-8")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines: %v", len(lines), lines)
-	}
-	if lines[0] != "worker unhealthy worker=http://w1 attempt=2" {
-		t.Fatalf("line 0: %q", lines[0])
-	}
-	if lines[1] != "retry job=j1 shard.range=0-8" {
-		t.Fatalf("line 1: %q", lines[1])
-	}
-	LogfLogger(nil).Info("dropped")
-	Discard.Error("dropped")
-}
-
 func TestOnceMap(t *testing.T) {
 	o := NewOnceMap()
 	if !o.First("w1") || o.First("w1") {

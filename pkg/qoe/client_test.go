@@ -322,23 +322,14 @@ func TestClientMetricsTypedDecode(t *testing.T) {
 	if _, err := c.RunBytes(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	// The stream returns just before the finished run publishes to the RAM +
-	// disk tiers; wait for the publish so the second request is a mem hit,
-	// not a dedup onto the still-live job.
-	var m qoe.DaemonMetrics
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		m, err = c.Metrics(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.StoreEntries == 1 && m.CacheEntries == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tiers never settled: %+v", m)
-		}
-		time.Sleep(time.Millisecond)
+	// The summary is released only after the run is published, so both
+	// tiers hold it now and the second request is a mem hit, not a dedup.
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.StoreEntries != 1 || m.CacheEntries != 1 {
+		t.Fatalf("tiers not published: %+v", m)
 	}
 	if _, err := c.RunBytes(context.Background(), req); err != nil {
 		t.Fatal(err)

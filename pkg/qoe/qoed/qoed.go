@@ -45,8 +45,8 @@ import (
 )
 
 // Config sizes a Server: worker pool, admission queue, result-cache byte
-// budget, Retry-After hint, and an optional log function. Zero values take
-// the serve package's defaults.
+// budget, Retry-After hint, and the structured logger. Zero values take the
+// serve package's defaults.
 type Config = serve.Config
 
 // Server is the serving engine — an http.Handler owning the job table,

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/runner"
 )
 
 // sessionScenarios is a small but representative selection: two static
@@ -16,9 +19,28 @@ import (
 // drives the page loader).
 var sessionScenarios = []string{"table1", "table2", "ext-0rtt"}
 
-// legacyOutputs renders the same selection through the deprecated batch
-// runner in the given format.
-func legacyOutputs(t *testing.T, format runner.Format, seed int64) []byte {
+// goldenOutputs is what the pre-SDK qoebench printed for the selection at
+// seed 1: the committed quick-scale goldens, concatenated in selection order
+// (text framed by the "[name done in 0s]" timing line, CSV unframed).
+func goldenOutputs(t *testing.T, ext string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for _, name := range sessionScenarios {
+		doc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+"."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(doc)
+		if ext == "txt" {
+			fmt.Fprintf(&out, "\n[%s done in 0s]\n\n", name)
+		}
+	}
+	return out.Bytes()
+}
+
+// resultJSON encodes each experiment's Result.JSON, run directly off one
+// testbed with its derived seed — the document qoebench -format json prints.
+func resultJSON(t *testing.T, seed int64) []byte {
 	t.Helper()
 	exps, err := experiments.Select(sessionScenarios...)
 	if err != nil {
@@ -28,12 +50,18 @@ func legacyOutputs(t *testing.T, format runner.Format, seed int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := runner.Run(exps, runner.Options{Scale: sc, Seed: seed, Format: format})
-	var buf bytes.Buffer
-	if err := rep.WriteOutputs(&buf); err != nil {
-		t.Fatal(err)
+	tb := core.NewTestbed(sc, seed)
+	var out bytes.Buffer
+	for _, e := range exps {
+		res, err := e.Run(context.Background(), tb, experiments.Options{Scale: sc, Seed: core.DeriveSeed(seed, e.Name())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.JSON(&out); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return buf.Bytes()
+	return out.Bytes()
 }
 
 func newTestSession(t *testing.T, seed int64, parallel int) *Session {
@@ -52,26 +80,27 @@ func newTestSession(t *testing.T, seed int64, parallel int) *Session {
 
 // TestAdapterSinksMatchLegacyRunner: the adapter sinks must reproduce the
 // pre-SDK text (framed), CSV, and JSON batch outputs byte-for-byte — the
-// contract that keeps cmd/qoebench's output and the goldens stable across
-// the redesign.
+// contract that keeps cmd/qoebench's output stable across the redesign.
+// Text and CSV are anchored on the goldens, JSON on each Result.JSON.
 func TestAdapterSinksMatchLegacyRunner(t *testing.T) {
-	const seed = 21
+	const seed = 1
 	for _, tc := range []struct {
-		format runner.Format
+		format string
 		sink   func(*bytes.Buffer) Sink
+		want   func() []byte
 	}{
-		{runner.Text, func(b *bytes.Buffer) Sink { return TextSink(b) }},
-		{runner.CSV, func(b *bytes.Buffer) Sink { return CSVSink(b) }},
-		{runner.JSON, func(b *bytes.Buffer) Sink { return JSONSink(b) }},
+		{"text", func(b *bytes.Buffer) Sink { return TextSink(b) }, func() []byte { return goldenOutputs(t, "txt") }},
+		{"csv", func(b *bytes.Buffer) Sink { return CSVSink(b) }, func() []byte { return goldenOutputs(t, "csv") }},
+		{"json", func(b *bytes.Buffer) Sink { return JSONSink(b) }, func() []byte { return resultJSON(t, seed) }},
 	} {
-		want := legacyOutputs(t, tc.format, seed)
+		want := tc.want()
 		var got bytes.Buffer
 		sess := newTestSession(t, seed, 4)
 		if _, err := sess.Run(context.Background(), tc.sink(&got)); err != nil {
 			t.Fatalf("%s: %v", tc.format, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: adapter sink output differs from legacy runner output\n got %d bytes\nwant %d bytes", tc.format, got.Len(), len(want))
+			t.Fatalf("%s: adapter sink output differs from the pre-SDK output\n got %d bytes\nwant %d bytes", tc.format, got.Len(), len(want))
 		}
 	}
 }
