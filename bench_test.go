@@ -80,40 +80,45 @@ func BenchmarkTable3Filtering(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3Agreement regenerates the cross-group agreement analysis.
-func BenchmarkFig3Agreement(b *testing.B) {
+// benchFresh runs one registered experiment per iteration the way a lone
+// invocation does: a fresh testbed, prewarmed with the experiment's declared
+// conditions, then the run.
+func benchFresh(b *testing.B, name string) {
+	e, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("experiment %q not registered", name)
+	}
+	nets, prots := e.Conditions()
+	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(benchOpts()); err != nil {
+		tb := core.NewTestbed(opts.Scale, opts.Seed)
+		if err := tb.Prewarm(context.Background(), nets, prots); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Run(context.Background(), tb, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFig3Agreement regenerates the cross-group agreement analysis.
+func BenchmarkFig3Agreement(b *testing.B) {
+	benchFresh(b, "fig3")
 }
 
 // BenchmarkFig4ABVotes regenerates the A/B study vote shares.
 func BenchmarkFig4ABVotes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFresh(b, "fig4")
 }
 
 // BenchmarkFig5Ratings regenerates the rating study analysis.
 func BenchmarkFig5Ratings(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFresh(b, "fig5")
 }
 
 // BenchmarkFig6Correlation regenerates the metric-correlation heatmap.
 func BenchmarkFig6Correlation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFresh(b, "fig6")
 }
 
 // BenchmarkAllExperimentsSharedTestbed runs the full `qoebench all` batch

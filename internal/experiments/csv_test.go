@@ -20,10 +20,7 @@ func parseCSV(t *testing.T, b []byte) [][]string {
 }
 
 func TestFig4CSV(t *testing.T) {
-	res, err := Fig4(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig4Result](t, "fig4", tinyOpts())
 	var buf bytes.Buffer
 	if err := res.CSV(&buf); err != nil {
 		t.Fatal(err)
@@ -38,10 +35,7 @@ func TestFig4CSV(t *testing.T) {
 }
 
 func TestFig5CSV(t *testing.T) {
-	res, err := Fig5(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig5Result](t, "fig5", tinyOpts())
 	var buf bytes.Buffer
 	if err := res.CSV(&buf); err != nil {
 		t.Fatal(err)
@@ -52,10 +46,7 @@ func TestFig5CSV(t *testing.T) {
 }
 
 func TestFig6CSV(t *testing.T) {
-	res, err := Fig6(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig6Result](t, "fig6", tinyOpts())
 	var buf bytes.Buffer
 	if err := res.CSV(&buf); err != nil {
 		t.Fatal(err)

@@ -16,10 +16,7 @@ func tinyOpts() Options {
 // rendered output — the bit-reproducibility promise of DESIGN.md.
 func TestFig4Deterministic(t *testing.T) {
 	render := func() string {
-		res, err := Fig4(tinyOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runFresh[Fig4Result](t, "fig4", tinyOpts())
 		var buf bytes.Buffer
 		res.Render(&buf)
 		return buf.String()
@@ -31,10 +28,7 @@ func TestFig4Deterministic(t *testing.T) {
 
 func TestFig5Deterministic(t *testing.T) {
 	render := func() string {
-		res, err := Fig5(tinyOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runFresh[Fig5Result](t, "fig5", tinyOpts())
 		var buf bytes.Buffer
 		res.Render(&buf)
 		return buf.String()
@@ -46,10 +40,7 @@ func TestFig5Deterministic(t *testing.T) {
 
 func TestFig6Deterministic(t *testing.T) {
 	render := func() string {
-		res, err := Fig6(tinyOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runFresh[Fig6Result](t, "fig6", tinyOpts())
 		var buf bytes.Buffer
 		res.Render(&buf)
 		return buf.String()
@@ -85,15 +76,9 @@ func TestTable3Deterministic(t *testing.T) {
 func TestSeedChangesVotesNotShapes(t *testing.T) {
 	opts := tinyOpts()
 	opts.Seed = 101
-	a, err := Fig4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runFresh[Fig4Result](t, "fig4", opts)
 	opts.Seed = 202
-	b, err := Fig4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := runFresh[Fig4Result](t, "fig4", opts)
 	for _, res := range []Fig4Result{a, b} {
 		for _, s := range res.Shares {
 			if s.Network == "MSS" && s.Pair.A == "QUIC" && s.Pair.B == "TCP" {

@@ -12,10 +12,9 @@
 // recordings across the whole batch. Run returns a Result that uniformly
 // renders as text, CSV, or JSON.
 //
-// The exported per-experiment functions (Fig3, Fig4, …, AblationIW) remain
-// as conveniences that build a private testbed, prewarm it, and run the one
-// experiment; tests and benchmarks that exercise a single experiment use
-// them directly.
+// The exported ablation functions (AblationIW, AblationPacing, AblationHOL)
+// are direct entry points besides the registry: each drives the page loader
+// over its own pair of stacks and needs no testbed.
 package experiments
 
 import (
@@ -36,7 +35,8 @@ type Options struct {
 	Scale core.Scale
 	Seed  int64
 	// Population, when non-nil, executes the canonical pop-ab / pop-rating
-	// engine calls (e.g. on a distributed worker pool). Nil runs in process.
+	// engine calls and pop-sweep-adaptive's round grants (e.g. on a
+	// distributed worker pool). Nil runs in process.
 	Population PopulationBackend
 	// Adaptive, when non-nil, overrides the canonical sequential-stopping
 	// policy of adaptive experiments (pop-sweep-adaptive). Nil keeps the
@@ -134,12 +134,6 @@ func (r Table2Result) CSV(w io.Writer) error {
 
 // JSON writes the network configurations as indented JSON.
 func (r Table2Result) JSON(w io.Writer) error { return writeJSON(w, r.Networks) }
-
-// Table1 prints the protocol-configuration table.
-func Table1(w io.Writer) { Table1Result{Rows: core.Table1()}.Render(w) }
-
-// Table2 prints the network-configuration table.
-func Table2(w io.Writer) { Table2Result{Networks: simnet.Networks()}.Render(w) }
 
 // table1Exp and table2Exp register the static configuration tables; they
 // record nothing and ignore the testbed.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,9 +15,30 @@ func quickOpts() Options {
 	return Options{Scale: core.Scale{Sites: core.QuickScale().Sites, Reps: 3}, Seed: 7}
 }
 
+// runFresh looks up a registered experiment, prewarms its declared
+// conditions on a fresh testbed, and runs it: one experiment on its own,
+// with no recordings shared across a batch.
+func runFresh[R Result](t testing.TB, name string, opts Options) R {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q not registered", name)
+	}
+	tb := core.NewTestbed(opts.Scale, opts.Seed)
+	nets, prots := e.Conditions()
+	if err := tb.Prewarm(context.Background(), nets, prots); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), tb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(R)
+}
+
 func TestTable1Render(t *testing.T) {
 	var buf bytes.Buffer
-	Table1(&buf)
+	runFresh[Table1Result](t, "table1", DefaultOptions()).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"TCP+", "QUIC+BBR", "IW32", "IW10"} {
 		if !strings.Contains(out, want) {
@@ -27,7 +49,7 @@ func TestTable1Render(t *testing.T) {
 
 func TestTable2Render(t *testing.T) {
 	var buf bytes.Buffer
-	Table2(&buf)
+	runFresh[Table2Result](t, "table2", DefaultOptions()).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"DSL", "LTE", "DA2GC", "MSS", "760ms", "6.0%"} {
 		if !strings.Contains(out, want) {
@@ -70,10 +92,7 @@ func TestTable3FunnelShape(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	res, err := Fig4(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig4Result](t, "fig4", quickOpts())
 	if len(res.Shares) != 16 {
 		t.Fatalf("cells = %d, want 4 pairs x 4 networks", len(res.Shares))
 	}
@@ -127,10 +146,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	res, err := Fig5(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig5Result](t, "fig5", quickOpts())
 	if len(res.Cells) == 0 {
 		t.Fatal("no cells")
 	}
@@ -181,10 +197,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig3Shapes(t *testing.T) {
-	res, err := Fig3(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig3Result](t, "fig3", quickOpts())
 	if len(res.Rows) < 15 {
 		t.Fatalf("rows = %d, want >= 15", len(res.Rows))
 	}
@@ -210,10 +223,7 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	res, err := Fig6(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFresh[Fig6Result](t, "fig6", quickOpts())
 	if len(res.Cells) == 0 {
 		t.Fatal("no cells")
 	}

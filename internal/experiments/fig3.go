@@ -49,18 +49,6 @@ func (fig3Exp) Run(_ context.Context, tb *core.Testbed, opts Options) (Result, e
 
 func init() { Register(fig3Exp{}) }
 
-// Fig3 runs the rating study for all three groups on a private prewarmed
-// testbed. Batch callers use the registered experiment with a shared testbed
-// instead.
-func Fig3(opts Options) (Fig3Result, error) {
-	tb := core.NewTestbed(opts.Scale, opts.Seed)
-	nets, prots := fig3Exp{}.Conditions()
-	if err := tb.Prewarm(context.Background(), nets, prots); err != nil {
-		return Fig3Result{}, err
-	}
-	return fig3Run(tb, opts)
-}
-
 // fig3Run runs the rating study for all three groups over the lab-tested
 // condition subset (the 27 conditions a lab session covers: 11 work, 11
 // free time, 5 plane) and compares their agreement, ordered by the lab mean

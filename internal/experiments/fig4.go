@@ -47,17 +47,6 @@ func (fig4Exp) Run(_ context.Context, tb *core.Testbed, opts Options) (Result, e
 
 func init() { Register(fig4Exp{}) }
 
-// Fig4 runs the A/B study on a private prewarmed testbed. Batch callers use
-// the registered experiment with a shared testbed instead.
-func Fig4(opts Options) (Fig4Result, error) {
-	tb := core.NewTestbed(opts.Scale, opts.Seed)
-	nets, prots := fig4Exp{}.Conditions()
-	if err := tb.Prewarm(context.Background(), nets, prots); err != nil {
-		return Fig4Result{}, err
-	}
-	return fig4Run(tb, opts)
-}
-
 // fig4Run runs the A/B study for the µWorker group (the paper's main crowd)
 // over the full pair × network × site grid.
 func fig4Run(tb *core.Testbed, opts Options) (Fig4Result, error) {

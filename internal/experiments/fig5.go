@@ -70,17 +70,6 @@ func (fig5Exp) Run(_ context.Context, tb *core.Testbed, opts Options) (Result, e
 
 func init() { Register(fig5Exp{}) }
 
-// Fig5 runs the rating-study analysis on a private prewarmed testbed. Batch
-// callers use the registered experiment with a shared testbed instead.
-func Fig5(opts Options) (Fig5Result, error) {
-	tb := core.NewTestbed(opts.Scale, opts.Seed)
-	nets, prots := fig5Exp{}.Conditions()
-	if err := tb.Prewarm(context.Background(), nets, prots); err != nil {
-		return Fig5Result{}, err
-	}
-	return fig5Run(tb, opts)
-}
-
 // fig5Run runs the rating study for the µWorker group and performs the
 // paper's §4.4 analyses: per-cell 99% confidence intervals, the ANOVA
 // significance screen, and the per-website drill-down.

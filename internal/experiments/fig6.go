@@ -44,18 +44,6 @@ func (fig6Exp) Run(_ context.Context, tb *core.Testbed, opts Options) (Result, e
 
 func init() { Register(fig6Exp{}) }
 
-// Fig6 computes the metric-vs-rating correlation on a private prewarmed
-// testbed. Batch callers use the registered experiment with a shared testbed
-// instead.
-func Fig6(opts Options) (Fig6Result, error) {
-	tb := core.NewTestbed(opts.Scale, opts.Seed)
-	nets, prots := fig6Exp{}.Conditions()
-	if err := tb.Prewarm(context.Background(), nets, prots); err != nil {
-		return Fig6Result{}, err
-	}
-	return fig6Run(tb, opts)
-}
-
 // fig6Run computes the paper's metric-vs-rating correlation: for every
 // protocol and network, the per-site mean rating is correlated (Pearson)
 // against the typical video's technical metrics. For DSL/LTE the free-time

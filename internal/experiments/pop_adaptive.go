@@ -42,14 +42,11 @@ func PopSweepAdaptiveConfig() adaptive.Config {
 	return adaptive.Config{Alpha: 0.05, Threshold: 0.5, MinShards: 2, RoundShards: 2}
 }
 
-// PopSweepAdaptiveCells returns the size of the adaptive sweep grid.
-func PopSweepAdaptiveCells() int { return len(popSweepFactors) }
-
-// PopSweepAdaptiveCellConfigs returns the canonical per-step population
+// popSweepAdaptiveCellConfigs returns the canonical per-step population
 // configs given the experiment's derived seed. No testbed is needed — the
 // step names depend only on the factor grid — so a fabric coordinator can
 // verify an adaptive call is canonical for its tuple before shipping it.
-func PopSweepAdaptiveCellConfigs(seed int64) []population.Config {
+func popSweepAdaptiveCellConfigs(seed int64) []population.Config {
 	cfgs := make([]population.Config, len(popSweepFactors))
 	for i, v := range popSweepFactors {
 		net := sweep.Apply(simnet.LTE, sweep.Speed, v)
@@ -63,12 +60,6 @@ func PopSweepAdaptiveCellConfigs(seed int64) []population.Config {
 	return cfgs
 }
 
-// PopSweepAdaptiveShards returns the canonical per-step shard count (the
-// granularity of adaptive grants on the wire).
-func PopSweepAdaptiveShards() int {
-	return PopSweepAdaptiveCellConfigs(0)[0].Normalize().Shards
-}
-
 // PopSweepAdaptiveSpecs builds the canonical adaptive grid for a testbed
 // and the experiment's derived seed — the shared construction the
 // in-process experiment and fabric workers both run, so a worker's shard
@@ -80,7 +71,7 @@ func PopSweepAdaptiveSpecs(tb *core.Testbed, seed int64) ([]adaptive.CellSpec, e
 	if reps > 2 {
 		reps = 2 // the panel, not the recording count, carries the power here
 	}
-	cfgs := PopSweepAdaptiveCellConfigs(seed)
+	cfgs := popSweepAdaptiveCellConfigs(seed)
 	specs := make([]adaptive.CellSpec, 0, len(popSweepFactors))
 	for i, v := range popSweepFactors {
 		net := sweep.Apply(base, sweep.Speed, v)
@@ -183,14 +174,14 @@ func (popSweepAdaptiveExp) Run(ctx context.Context, tb *core.Testbed, opts Optio
 	return popSweepAdaptiveRun(ctx, tb, opts)
 }
 
-// adaptiveBackendRunner bridges the engine's ShardRunner seam onto an
-// AdaptiveBackend (the distributed fabric).
-type adaptiveBackendRunner struct {
-	backend AdaptiveBackend
+// backendRunner bridges the engine's ShardRunner seam onto a
+// PopulationBackend (the distributed fabric).
+type backendRunner struct {
+	backend PopulationBackend
 	specs   []adaptive.CellSpec
 }
 
-func (r adaptiveBackendRunner) RunShards(ctx context.Context, cell int, rng population.ShardRange) ([]population.ABShardState, error) {
+func (r backendRunner) RunShards(ctx context.Context, cell int, rng population.ShardRange) ([]population.ABShardState, error) {
 	s := r.specs[cell]
 	return r.backend.RunABShardRange(ctx, popSweepAdaptiveName, cell, s.Cells, s.Config, rng)
 }
@@ -219,8 +210,8 @@ func popSweepAdaptiveRun(ctx context.Context, tb *core.Testbed, opts Options) (P
 		}
 	}
 	var runner adaptive.ShardRunner
-	if ab, ok := opts.Population.(AdaptiveBackend); ok {
-		runner = adaptiveBackendRunner{backend: ab, specs: specs}
+	if opts.Population != nil {
+		runner = backendRunner{backend: opts.Population, specs: specs}
 	}
 	res, err := adaptive.RunWith(ctx, specs, acfg, runner)
 	if err != nil {

@@ -59,9 +59,16 @@ type PopABResult struct {
 	Funnel       string
 }
 
+// The canonical population studies' registry names; the shard protocol
+// addresses them by these (see CanonicalConfig).
+const (
+	popABName     = "pop-ab"
+	popRatingName = "pop-rating"
+)
+
 type popABExp struct{}
 
-func (popABExp) Name() string { return "pop-ab" }
+func (popABExp) Name() string { return popABName }
 
 // Conditions declares the scenario library crossed with the five stacks, so
 // the batch prewarm records the library exactly once alongside the paper
@@ -226,7 +233,7 @@ type PopRatingResult struct {
 
 type popRatingExp struct{}
 
-func (popRatingExp) Name() string { return "pop-rating" }
+func (popRatingExp) Name() string { return popRatingName }
 
 func (popRatingExp) Conditions() ([]simnet.NetworkConfig, []string) {
 	return simnet.ScenarioNetworks(), study.RatingProtocols()
@@ -271,7 +278,7 @@ func popRatingRun(ctx context.Context, tb *core.Testbed, opts Options) (PopRatin
 	if opts.Population != nil {
 		runRating = opts.Population.RunRating
 	}
-	res, err := runRating(ctx, cells, PopRatingConfig(opts.Seed))
+	res, err := runRating(ctx, cells, PopABConfig(opts.Seed))
 	if err != nil {
 		return PopRatingResult{}, err
 	}

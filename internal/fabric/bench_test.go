@@ -35,7 +35,8 @@ func BenchmarkFabricPopABDistributed(b *testing.B) {
 	for _, n := range []int{1, 3} {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
 			cells, cfg, _ := localPopAB(b, 1)
-			c := newCoordinator(b, Config{Workers: workerPool(b, n, nil), Scale: qoe.ScaleQuick, Seed: 1})
+			c := newCoordinator(b, Config{Workers: workerPool(b, n, nil)})
+			backend := c.ForTuple(qoe.ScaleQuick, 1)
 			// Warm the workers' shared testbed so the one-time condition
 			// recording does not land in the first timed iteration.
 			if err := sharedExec.Run(context.Background(), qoe.ShardRequest{
@@ -45,7 +46,7 @@ func BenchmarkFabricPopABDistributed(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.RunAB(context.Background(), cells, cfg); err != nil {
+				if _, err := backend.RunAB(context.Background(), cells, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,14 +6,16 @@
 // the engine's exact merge fold — into a result byte-identical to a
 // single-node run at any cluster size.
 //
-// The Coordinator implements experiments.PopulationBackend, so plugging it
-// into a session (qoe.WithPopulationBackend) distributes the pop-ab and
-// pop-rating engine calls while leaving every byte of the session's output
-// unchanged. Failure semantics: a sub-job that dies with one worker
-// (connection error, truncated or garbled stream, 429 backpressure) is
-// retried on the next live worker with exponential backoff; only when a
-// sub-job exhausts its attempt budget does the study fail, with a clean
-// error naming the lost shards.
+// Work enters the fabric only through Coordinator.ForTuple, the
+// coordinator's experiments.PopulationBackend view of one (scale, master
+// seed) run tuple. Plugging that view into a session
+// (qoe.WithPopulationBackend) distributes the pop-ab and pop-rating engine
+// calls and the pop-sweep-adaptive round grants while leaving every byte of
+// the session's output unchanged. Failure semantics: a sub-job that dies
+// with one worker (connection error, truncated or garbled stream, 429
+// backpressure) is retried on the next live worker with exponential
+// backoff; only when a sub-job exhausts its attempt budget does the study
+// fail, with a clean error naming the lost shards.
 package fabric
 
 import (
@@ -41,17 +43,6 @@ type Config struct {
 	// Workers lists the base URLs of the qoed workers (e.g.
 	// "http://127.0.0.1:8081").
 	Workers []string
-	// Scale and Seed are the DEFAULT study tuple — what the coordinator's
-	// own PopulationBackend methods assume. Seed is the MASTER seed
-	// (workers re-derive per-study seeds from it). A daemon serving many
-	// tuples pins each run's tuple with ForTuple instead.
-	Scale qoe.Scale
-	Seed  int64
-	// MaxInFlight bounds concurrently dispatched sub-jobs (default
-	// 2 × len(Workers)).
-	MaxInFlight int
-	// ShardsPerJob sizes sub-jobs (default ~4 jobs per worker).
-	ShardsPerJob int
 	// MaxAttempts is the per-sub-job attempt budget across workers
 	// (default 4).
 	MaxAttempts int
@@ -67,9 +58,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2 * len(c.Workers)
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
@@ -117,8 +105,8 @@ func (w *worker) state() (bool, int64) {
 }
 
 // Coordinator fans canonical pop-* studies out over a worker pool. Safe for
-// concurrent use; one coordinator can back many sessions over its (scale,
-// seed) tuple.
+// concurrent use; one coordinator backs many sessions, each through the
+// ForTuple view of its own (scale, master seed) tuple.
 type Coordinator struct {
 	cfg     Config
 	workers []*worker
@@ -126,11 +114,6 @@ type Coordinator struct {
 	// log receives the coordinator's structured events: dispatch retries,
 	// worker health transitions, retry exhaustion.
 	log *slog.Logger
-	// tr, wired via SetTracer before traffic, is the fallback tracer for
-	// contexts that carry a propagated trace identity without a tracer of
-	// their own; contexts that carry both (the daemon's run contexts) use
-	// theirs.
-	tr *telemetry.Tracer
 
 	// rr is the round-robin cursor spreading sub-jobs across the pool.
 	rrMu sync.Mutex
@@ -207,12 +190,6 @@ func New(cfg Config) (*Coordinator, error) {
 // Vars returns the coordinator's expvar map for mounting under /metrics.
 func (c *Coordinator) Vars() expvar.Var { return c.vars }
 
-// SetTracer wires a tracer into the coordinator for contexts that propagate
-// a trace identity without a tracer of their own. Call before the
-// coordinator dispatches work (the daemon does this at Open); nil disables
-// the fallback.
-func (c *Coordinator) SetTracer(t *telemetry.Tracer) { c.tr = t }
-
 // WorkerStatus is one pool member's state as reported by
 // /v1/fabric/workers. Metrics, when populated (WorkersStatusObserved),
 // carries the worker's own counter slice — run outcomes and the per-tier
@@ -284,15 +261,10 @@ func (c *Coordinator) CheckWorkers(ctx context.Context) error {
 	return nil
 }
 
-// Plan returns the deterministic sub-job split for one study at the
-// default tuple.
-func (c *Coordinator) Plan(study string) (Plan, error) {
-	return planStudy(study, c.cfg.Scale, c.cfg.Seed, len(c.workers), c.cfg.ShardsPerJob)
-}
-
-// planFor splits a study at an explicit tuple.
+// planFor splits a study at one run tuple, with planStudy's default job
+// size.
 func (c *Coordinator) planFor(study string, scale qoe.Scale, seed int64) (Plan, error) {
-	return planStudy(study, scale, seed, len(c.workers), c.cfg.ShardsPerJob)
+	return planStudy(study, scale, seed, len(c.workers), 0)
 }
 
 // nextWorker picks a dispatch target: round-robin over healthy workers,
@@ -363,11 +335,6 @@ func (c *Coordinator) runJob(ctx context.Context, req qoe.ShardRequest) ([]qoe.S
 	r := req.Range
 	key := subJobKey(req)
 	tc := telemetry.FromContext(ctx)
-	if tc.Tracer == nil {
-		// Identity-only propagation: adopt the wired tracer. Still a no-op
-		// when the context carries no trace at all (empty trace ID).
-		tc.Tracer = c.tr
-	}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -456,7 +423,7 @@ func (c *Coordinator) collectWorkerTrace(ctx context.Context, w *worker, tc tele
 	tc.Tracer.Merge(tc.TraceID, w.url, dump.Spans)
 }
 
-// dispatch runs every sub-job of a plan with bounded in-flight concurrency
+// dispatch runs every sub-job of a plan, at most two per worker in flight,
 // and returns the per-shard states in ascending shard order. The first
 // failed sub-job cancels the rest.
 func (c *Coordinator) dispatch(ctx context.Context, plan Plan) ([]qoe.ShardData, error) {
@@ -464,7 +431,7 @@ func (c *Coordinator) dispatch(ctx context.Context, plan Plan) ([]qoe.ShardData,
 	defer cancel()
 
 	results := make([][]qoe.ShardData, len(plan.Jobs))
-	sem := make(chan struct{}, c.cfg.MaxInFlight)
+	sem := make(chan struct{}, 2*len(c.workers))
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -516,114 +483,94 @@ type tupleBackend struct {
 	seed  int64 // master seed of the run
 }
 
-// ForTuple returns the coordinator's backend view for one run tuple.
+// ForTuple returns the coordinator's backend view for one run tuple: the
+// only way work enters the fabric.
 func (c *Coordinator) ForTuple(scale qoe.Scale, seed int64) experiments.PopulationBackend {
 	return tupleBackend{c: c, scale: scale, seed: seed}
 }
 
-// RunAB implements experiments.PopulationBackend at the Config default
-// tuple; see tupleBackend.RunAB.
-func (c *Coordinator) RunAB(ctx context.Context, cells []population.ABCell, cfg population.Config) (population.ABResult, error) {
-	return tupleBackend{c: c, scale: c.cfg.Scale, seed: c.cfg.Seed}.RunAB(ctx, cells, cfg)
-}
-
-// RunRating implements experiments.PopulationBackend at the Config default
-// tuple; see tupleBackend.RunRating.
-func (c *Coordinator) RunRating(ctx context.Context, cells []population.RatingCell, cfg population.Config) (population.RatingResult, error) {
-	return tupleBackend{c: c, scale: c.cfg.Scale, seed: c.cfg.Seed}.RunRating(ctx, cells, cfg)
-}
-
-// runStudy plans, dispatches, and collects one distributed study, returning
-// its raw shard states in ascending shard order.
-func (b tupleBackend) runStudy(ctx context.Context, study string) ([]qoe.ShardData, error) {
-	plan, err := b.c.planFor(study, b.scale, b.seed)
-	if err != nil {
-		return nil, err
-	}
-	data, err := b.c.dispatch(ctx, plan)
-	if err != nil {
-		b.c.studiesFailed.Add(1)
-		return nil, err
-	}
-	return data, nil
+// canonical reports whether an engine call addresses the canonical config
+// of a study cell for this view's master seed. Only such calls are shipped
+// to the pool: a worker re-derives the canonical config from the tuple, so
+// anything else (tests, sweeps, foreign tuples, overridden policies) would
+// silently compute different bytes there.
+func (b tupleBackend) canonical(study string, cell int, cfg population.Config) bool {
+	want, _, ok := experiments.CanonicalConfig(study, core.DeriveSeed(b.seed, study), cell)
+	return ok && cfg == want
 }
 
 // RunAB distributes a canonical pop-ab engine call. A config that is not
-// the canonical pop-ab tuple for this view's master seed is run locally
-// instead — only the canonical study is sharded, so ad-hoc engine calls
-// (tests, sweeps, foreign tuples) can never be mis-distributed.
+// the canonical pop-ab config for this view's master seed runs locally.
 func (b tupleBackend) RunAB(ctx context.Context, cells []population.ABCell, cfg population.Config) (population.ABResult, error) {
-	if cfg != experiments.PopABConfig(core.DeriveSeed(b.seed, qoe.StudyPopAB)) {
+	if !b.canonical(qoe.StudyPopAB, 0, cfg) {
 		b.c.studiesFellBack.Add(1)
 		return population.RunAB(ctx, cells, cfg)
 	}
-	data, err := b.runStudy(ctx, qoe.StudyPopAB)
-	if err != nil {
-		return population.ABResult{}, err
-	}
-	sp := telemetry.FromContext(ctx).Start("reduce")
-	sp.Attr("study", qoe.StudyPopAB)
-	states := make([]population.ABShardState, len(data))
-	for i, d := range data {
-		if err := json.Unmarshal(d.State, &states[i]); err != nil {
-			b.c.studiesFailed.Add(1)
-			sp.EndErr(err)
-			return population.ABResult{}, fmt.Errorf("fabric: decoding shard %d state: %w", d.Shard, err)
-		}
-	}
-	res, err := population.ReduceAB(cells, cfg, states)
-	sp.EndErr(err)
-	if err != nil {
-		b.c.studiesFailed.Add(1)
-		return population.ABResult{}, err
-	}
-	b.c.studiesReduced.Add(1)
-	return res, nil
+	return reduceStudy(ctx, b, qoe.StudyPopAB, func(states []population.ABShardState) (population.ABResult, error) {
+		return population.ReduceAB(cells, cfg, states)
+	})
 }
 
 // RunRating distributes a canonical pop-rating engine call, with the same
 // canonical-config guard as RunAB.
 func (b tupleBackend) RunRating(ctx context.Context, cells []population.RatingCell, cfg population.Config) (population.RatingResult, error) {
-	if cfg != experiments.PopRatingConfig(core.DeriveSeed(b.seed, qoe.StudyPopRating)) {
+	if !b.canonical(qoe.StudyPopRating, 0, cfg) {
 		b.c.studiesFellBack.Add(1)
 		return population.RunRating(ctx, cells, cfg)
 	}
-	data, err := b.runStudy(ctx, qoe.StudyPopRating)
+	return reduceStudy(ctx, b, qoe.StudyPopRating, func(states []population.RatingShardState) (population.RatingResult, error) {
+		return population.ReduceRating(cells, cfg, states)
+	})
+}
+
+// reduceStudy plans, dispatches, and collects one distributed fixed-budget
+// study, then folds its shard states — decoded as S, in ascending shard
+// order — with reduce.
+func reduceStudy[S, R any](ctx context.Context, b tupleBackend, study string, reduce func([]S) (R, error)) (R, error) {
+	var res R
+	plan, err := b.c.planFor(study, b.scale, b.seed)
 	if err != nil {
-		return population.RatingResult{}, err
+		return res, err
+	}
+	data, err := b.c.dispatch(ctx, plan)
+	if err != nil {
+		b.c.studiesFailed.Add(1)
+		return res, err
 	}
 	sp := telemetry.FromContext(ctx).Start("reduce")
-	sp.Attr("study", qoe.StudyPopRating)
-	states := make([]population.RatingShardState, len(data))
-	for i, d := range data {
-		if err := json.Unmarshal(d.State, &states[i]); err != nil {
-			b.c.studiesFailed.Add(1)
-			sp.EndErr(err)
-			return population.RatingResult{}, fmt.Errorf("fabric: decoding shard %d state: %w", d.Shard, err)
-		}
+	sp.Attr("study", study)
+	states, err := decodeStates[S](data)
+	if err == nil {
+		res, err = reduce(states)
 	}
-	res, err := population.ReduceRating(cells, cfg, states)
 	sp.EndErr(err)
 	if err != nil {
 		b.c.studiesFailed.Add(1)
-		return population.RatingResult{}, err
+		return res, err
 	}
 	b.c.studiesReduced.Add(1)
 	return res, nil
 }
 
-// RunABShardRange implements experiments.AdaptiveBackend: one round-barrier
-// grant of one adaptive-study cell, dispatched as a single sub-job through
-// the same retry/affinity machinery as fixed-budget sub-jobs. The guard
-// mirrors RunAB's: only the canonical cell config for this view's master
-// seed is distributed — the cell's config embeds its derived seed, so a
-// foreign tuple (tests, ad-hoc engine calls, overridden adaptive policies
-// changing nothing here — the policy lives above this call) can never be
-// mis-distributed — everything else runs locally. Grants happen only at
+// decodeStates decodes each shard's raw aggregate state as S.
+func decodeStates[S any](data []qoe.ShardData) ([]S, error) {
+	states := make([]S, len(data))
+	for i, d := range data {
+		if err := json.Unmarshal(d.State, &states[i]); err != nil {
+			return nil, fmt.Errorf("fabric: decoding shard %d state: %w", d.Shard, err)
+		}
+	}
+	return states, nil
+}
+
+// RunABShardRange distributes one round-barrier grant of one adaptive-study
+// cell as a single sub-job, through the same retry/affinity machinery as
+// fixed-budget sub-jobs. A grant that is not the canonical adaptive cell
+// config for this view's master seed runs locally. Grants happen only at
 // round barriers (the adaptive engine's contract), so the coordinator's
 // accumulator fold sees exactly the states a local run would produce.
 func (b tupleBackend) RunABShardRange(ctx context.Context, study string, cell int, cells []population.ABCell, cfg population.Config, r population.ShardRange) ([]population.ABShardState, error) {
-	if !b.canonicalAdaptiveGrant(study, cell, cfg) {
+	if !qoe.IsAdaptiveStudy(study) || !b.canonical(study, cell, cfg) {
 		b.c.adaptiveFellBack.Add(1)
 		return population.RunABRange(ctx, cells, cfg, r)
 	}
@@ -636,38 +583,12 @@ func (b tupleBackend) RunABShardRange(ctx context.Context, study string, cell in
 		b.c.studiesFailed.Add(1)
 		return nil, err
 	}
-	states := make([]population.ABShardState, len(data))
-	for i, d := range data {
-		if err := json.Unmarshal(d.State, &states[i]); err != nil {
-			b.c.studiesFailed.Add(1)
-			return nil, fmt.Errorf("fabric: decoding adaptive shard %d state: %w", d.Shard, err)
-		}
+	states, err := decodeStates[population.ABShardState](data)
+	if err != nil {
+		b.c.studiesFailed.Add(1)
+		return nil, err
 	}
 	b.c.adaptiveGrants.Add(1)
 	b.c.adaptiveShards.Add(int64(len(states)))
 	return states, nil
-}
-
-// canonicalAdaptiveGrant reports whether a shard-range grant addresses the
-// canonical adaptive study cell for this view's master seed: the study is
-// known, the cell index is in the grid, and the config is exactly the
-// canonical derivation (which pins participants, votes, and the cell's own
-// derived seed).
-func (b tupleBackend) canonicalAdaptiveGrant(study string, cell int, cfg population.Config) bool {
-	if study != qoe.StudyPopSweepAdaptive {
-		return false
-	}
-	cfgs := experiments.PopSweepAdaptiveCellConfigs(core.DeriveSeed(b.seed, study))
-	return cell >= 0 && cell < len(cfgs) && cfg == cfgs[cell]
-}
-
-// Backend returns the coordinator as the session-facing population backend
-// at the default tuple; it exists for call-site clarity
-// (qoe.WithPopulationBackend(f.Backend())).
-func (c *Coordinator) Backend() experiments.PopulationBackend { return c }
-
-// RunABShardRange implements experiments.AdaptiveBackend at the Config
-// default tuple; see tupleBackend.RunABShardRange.
-func (c *Coordinator) RunABShardRange(ctx context.Context, study string, cell int, cells []population.ABCell, cfg population.Config, r population.ShardRange) ([]population.ABShardState, error) {
-	return tupleBackend{c: c, scale: c.cfg.Scale, seed: c.cfg.Seed}.RunABShardRange(ctx, study, cell, cells, cfg, r)
 }

@@ -148,7 +148,7 @@ func localPopRating(t testing.TB, master int64) ([]population.RatingCell, popula
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := experiments.PopRatingConfig(core.DeriveSeed(master, qoe.StudyPopRating))
+	cfg := experiments.PopABConfig(core.DeriveSeed(master, qoe.StudyPopRating))
 	want, err := population.RunRating(context.Background(), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,15 +196,15 @@ func TestDistributedMatchesLocalAcrossPoolSizes(t *testing.T) {
 	cellsRating, cfgRating, wantRating := localPopRating(t, master)
 
 	for _, n := range []int{1, 3} {
-		c := newCoordinator(t, Config{Workers: workerPool(t, n, nil), Scale: qoe.ScaleQuick, Seed: master})
-		gotAB, err := c.RunAB(context.Background(), cellsAB, cfgAB)
+		c := newCoordinator(t, Config{Workers: workerPool(t, n, nil)})
+		gotAB, err := c.ForTuple(qoe.ScaleQuick, master).RunAB(context.Background(), cellsAB, cfgAB)
 		if err != nil {
 			t.Fatalf("%d workers: RunAB: %v", n, err)
 		}
 		if !reflect.DeepEqual(gotAB, wantAB) {
 			t.Fatalf("%d workers: distributed pop-ab diverged from local run", n)
 		}
-		gotRating, err := c.RunRating(context.Background(), cellsRating, cfgRating)
+		gotRating, err := c.ForTuple(qoe.ScaleQuick, master).RunRating(context.Background(), cellsRating, cfgRating)
 		if err != nil {
 			t.Fatalf("%d workers: RunRating: %v", n, err)
 		}
@@ -233,8 +233,8 @@ func TestRetriesSurviveWorkerFaults(t *testing.T) {
 	for _, mode := range []string{"kill", "garble", "429"} {
 		t.Run(mode, func(t *testing.T) {
 			pool := workerPool(t, 3, map[int]func(http.Handler) http.Handler{0: failFirst(2, mode)})
-			c := newCoordinator(t, Config{Workers: pool, Scale: qoe.ScaleQuick, Seed: master, Logger: testlog.New(t)})
-			got, err := c.RunAB(context.Background(), cells, cfg)
+			c := newCoordinator(t, Config{Workers: pool, Logger: testlog.New(t)})
+			got, err := c.ForTuple(qoe.ScaleQuick, master).RunAB(context.Background(), cells, cfg)
 			if err != nil {
 				t.Fatalf("RunAB with %s fault: %v", mode, err)
 			}
@@ -261,7 +261,7 @@ func TestExhaustedRetriesFailCleanly(t *testing.T) {
 		})
 	}
 	pool := workerPool(t, 2, map[int]func(http.Handler) http.Handler{0: dead, 1: dead})
-	c := newCoordinator(t, Config{Workers: pool, Scale: qoe.ScaleQuick, Seed: 1, MaxAttempts: 2})
+	c := newCoordinator(t, Config{Workers: pool, MaxAttempts: 2})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -295,7 +295,7 @@ func TestNonCanonicalConfigFallsBackLocally(t *testing.T) {
 		})
 	}
 	pool := workerPool(t, 1, map[int]func(http.Handler) http.Handler{0: poisoned})
-	c := newCoordinator(t, Config{Workers: pool, Scale: qoe.ScaleQuick, Seed: 1})
+	c := newCoordinator(t, Config{Workers: pool})
 
 	cells, err := experiments.PopABCells(refTestbed())
 	if err != nil {
@@ -306,7 +306,7 @@ func TestNonCanonicalConfigFallsBackLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.RunAB(context.Background(), cells, adhoc)
+	got, err := c.ForTuple(qoe.ScaleQuick, 1).RunAB(context.Background(), cells, adhoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestNonCanonicalConfigFallsBackLocally(t *testing.T) {
 // visible in the adaptive counters.
 func TestAdaptiveShardRangeDistributes(t *testing.T) {
 	const master = 1
-	c := newCoordinator(t, Config{Workers: workerPool(t, 2, nil), Scale: qoe.ScaleQuick, Seed: master})
+	c := newCoordinator(t, Config{Workers: workerPool(t, 2, nil)})
 	specs, err := experiments.PopSweepAdaptiveSpecs(refTestbed(), core.DeriveSeed(master, qoe.StudyPopSweepAdaptive))
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestAdaptiveShardRangeDistributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.RunABShardRange(context.Background(), qoe.StudyPopSweepAdaptive, cell, specs[cell].Cells, specs[cell].Config, rng)
+	got, err := c.ForTuple(qoe.ScaleQuick, master).RunABShardRange(context.Background(), qoe.StudyPopSweepAdaptive, cell, specs[cell].Cells, specs[cell].Config, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestAdaptiveShardRangeFallsBackLocally(t *testing.T) {
 		})
 	}
 	pool := workerPool(t, 1, map[int]func(http.Handler) http.Handler{0: poisoned})
-	c := newCoordinator(t, Config{Workers: pool, Scale: qoe.ScaleQuick, Seed: 1})
+	c := newCoordinator(t, Config{Workers: pool})
 	specs, err := experiments.PopSweepAdaptiveSpecs(refTestbed(), core.DeriveSeed(1, qoe.StudyPopSweepAdaptive))
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestAdaptiveShardRangeFallsBackLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.RunABShardRange(context.Background(), qoe.StudyPopSweepAdaptive, 0, specs[0].Cells, adhoc, rng)
+	got, err := c.ForTuple(qoe.ScaleQuick, 1).RunABShardRange(context.Background(), qoe.StudyPopSweepAdaptive, 0, specs[0].Cells, adhoc, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,9 +508,9 @@ func TestAffinitySteersRepeatsToWarmWorkers(t *testing.T) {
 			})
 		}
 	}
-	c := newCoordinator(t, Config{Workers: workerPool(t, 3, wraps), Scale: qoe.ScaleQuick, Seed: master})
+	c := newCoordinator(t, Config{Workers: workerPool(t, 3, wraps)})
 
-	got, err := c.RunAB(context.Background(), cells, cfg)
+	got, err := c.ForTuple(qoe.ScaleQuick, master).RunAB(context.Background(), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestAffinitySteersRepeatsToWarmWorkers(t *testing.T) {
 		first[i] = counts[i].Load()
 	}
 
-	got, err = c.RunAB(context.Background(), cells, cfg)
+	got, err = c.ForTuple(qoe.ScaleQuick, master).RunAB(context.Background(), cells, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,13 +65,11 @@ type Config struct {
 	// trace ID and serves them at GET /debug/trace/{id}. Nil disables
 	// tracing; the serving paths pay one nil check.
 	Tracer *telemetry.Tracer
-	// Population, when set, routes the canonical pop-* engine calls of
-	// every served session through it — a coordinator daemon sets it to a
-	// fabric.Coordinator so served studies execute on the worker pool.
-	Population qoe.PopulationBackend
-	// Fabric, when set, mounts the coordinator's observability surface:
-	// its counters under "fabric" in /metrics and the worker pool at
-	// GET /v1/fabric/workers.
+	// Fabric, when set, makes this daemon a coordinator: every served
+	// session routes its canonical pop-* engine calls through the
+	// coordinator's view of the run's own (scale, master seed) tuple, and
+	// the coordinator's counters appear under "fabric" in /metrics and its
+	// worker pool at GET /v1/fabric/workers.
 	Fabric *fabric.Coordinator
 	// StoreDir, when set, mounts the content-addressed disk spill store: a
 	// durable tier under the RAM cache that survives restarts. Finished
@@ -139,13 +137,10 @@ func (s *Server) defaultRun(ctx context.Context, spec RunSpec, w io.Writer) erro
 		qoe.WithSeed(spec.Seed),
 		qoe.WithParallelism(1),
 	}
-	switch {
-	case s.cfg.Fabric != nil:
+	if s.cfg.Fabric != nil {
 		// Each run pins the coordinator to its own (scale, master seed)
 		// tuple, so one daemon distributes any tuple it serves.
 		opts = append(opts, qoe.WithPopulationBackend(s.cfg.Fabric.ForTuple(spec.Scale, spec.Seed)))
-	case s.cfg.Population != nil:
-		opts = append(opts, qoe.WithPopulationBackend(s.cfg.Population))
 	}
 	sess, err := qoe.NewSession(opts...)
 	if err != nil {
@@ -254,11 +249,6 @@ func Open(cfg Config) (*Server, error) {
 		tr:        cfg.Tracer,
 		lat:       telemetry.NewLatencySet(latencyClasses...),
 		started:   time.Now(),
-	}
-	if cfg.Fabric != nil {
-		// The coordinator's dispatch/retry/reduce spans land in the same ring
-		// the serving paths use, so a distributed study reads as one trace.
-		cfg.Fabric.SetTracer(cfg.Tracer)
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir, cfg.Logger)

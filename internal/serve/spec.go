@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/pkg/qoe"
 )
 
@@ -113,24 +114,21 @@ func (s RunSpec) Key() string {
 
 // CanonicalizeShard builds the canonical RunSpec of a shard-range sub-job,
 // validating the study name, scale, cell, and range bounds against the
-// study's canonical shard and cell counts.
+// study's canonical cell count and per-cell shard space.
 func CanonicalizeShard(study, scale string, seed int64, lo, hi, cell int) (RunSpec, error) {
-	total, err := qoe.StudyShards(study)
-	if err != nil {
-		return RunSpec{}, err
+	cfg, cells, ok := experiments.CanonicalConfig(study, 0, cell)
+	if cells == 0 {
+		return RunSpec{}, fmt.Errorf("serve: unknown shard study %q", study)
 	}
-	if lo < 0 || hi <= lo || hi > total {
-		return RunSpec{}, fmt.Errorf("serve: shard range [%d,%d) invalid for %d shards of %s", lo, hi, total, study)
-	}
-	cells, err := qoe.StudyCells(study)
-	if err != nil {
-		return RunSpec{}, err
-	}
-	if cell < 0 || cell >= cells {
+	if !ok {
 		return RunSpec{}, fmt.Errorf("serve: cell %d invalid for %d cells of %s", cell, cells, study)
+	}
+	if total := cfg.Normalize().Shards; lo < 0 || hi <= lo || hi > total {
+		return RunSpec{}, fmt.Errorf("serve: shard range [%d,%d) invalid for %d shards of %s", lo, hi, total, study)
 	}
 	sc := qoe.ScaleQuick
 	if scale != "" {
+		var err error
 		if sc, err = qoe.ParseScale(scale); err != nil {
 			return RunSpec{}, err
 		}

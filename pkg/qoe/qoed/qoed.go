@@ -21,9 +21,9 @@
 // and backpressure semantics.
 // For distributed studies the daemon plays one of two extra roles (see
 // EXPERIMENTS.md "Distributed studies"): a WORKER serves shard-range
-// sub-jobs at GET /v1/shard, and a COORDINATOR — built with NewFabric and a
-// Config whose Population/Fabric fields carry the coordinator — splits each
-// canonical pop-* study across its worker pool and reduces the returned
+// sub-jobs at GET /v1/shard, and a COORDINATOR — built with NewFabric and
+// handed to the daemon as Config.Fabric — splits each canonical pop-* study
+// of every served run across its worker pool and reduces the returned
 // aggregates into the byte-identical single-node stream.
 //
 // The result tier is hierarchical — RAM → disk → peers → simulate.
@@ -103,20 +103,18 @@ func CanonicalizeShard(study, scale string, seed int64, lo, hi, cell int) (RunSp
 }
 
 // FabricConfig configures a distributed-study coordinator: the worker pool
-// URLs, the (scale, master seed) tuple it serves, and the dispatch/retry
-// policy.
+// URLs, the retry policy, and the HTTP client and logger. It names no study
+// tuple; each run picks its own through Fabric.ForTuple.
 type FabricConfig = fabric.Config
 
 // Fabric is the coordinator: it splits canonical pop-* studies into
 // shard-range sub-jobs, dispatches them across the worker pool with bounded
 // in-flight jobs and retry-with-backoff, and reduces the results in shard
-// order — byte-identical to a single-node run. It implements
-// qoe.PopulationBackend; wire it into a daemon via Config.Population and
-// Config.Fabric, or into a local session via qoe.WithPopulationBackend.
+// order — byte-identical to a single-node run. Wire it into a daemon via
+// Config.Fabric, which pins each served run to its own tuple; a local
+// session takes the qoe.PopulationBackend view of one (scale, master seed)
+// tuple, qoe.WithPopulationBackend(f.ForTuple(scale, seed)).
 type Fabric = fabric.Coordinator
-
-// FabricPlan is the deterministic sub-job split of one study.
-type FabricPlan = fabric.Plan
 
 // FabricWorkerStatus is one pool member's health as reported by
 // GET /v1/fabric/workers.

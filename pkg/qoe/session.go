@@ -105,13 +105,15 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// PopulationBackend is an alternative engine for the canonical pop-ab /
-// pop-rating population runs (see qoed.NewFabric for the distributed one).
+// PopulationBackend is an alternative engine for the canonical population
+// runs (pop-ab, pop-rating, and pop-sweep-adaptive's round grants); the
+// distributed one is a qoed.Fabric's ForTuple view of one run tuple.
 type PopulationBackend = experiments.PopulationBackend
 
-// WithPopulationBackend routes the canonical pop-ab / pop-rating engine
-// calls through backend — typically a distributed study fabric coordinator
-// that shards them across qoed workers — instead of running them in process.
+// WithPopulationBackend routes the canonical population engine calls
+// through backend — typically a distributed study fabric coordinator's view
+// of the session's (scale, seed) tuple, which shards them across qoed
+// workers — instead of running them in process.
 // Everything around the engine call is unchanged, so the session's event
 // stream stays byte-identical to an in-process run; nil (the default) keeps
 // the engine local.

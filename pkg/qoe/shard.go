@@ -46,15 +46,11 @@ const (
 // run — the shard space a coordinator splits and a reduction must cover.
 // For the adaptive study this is the PER-CELL shard space; see StudyCells.
 func StudyShards(study string) (int, error) {
-	switch study {
-	case StudyPopAB:
-		return experiments.PopABConfig(0).Normalize().Shards, nil
-	case StudyPopRating:
-		return experiments.PopRatingConfig(0).Normalize().Shards, nil
-	case StudyPopSweepAdaptive:
-		return experiments.PopSweepAdaptiveShards(), nil
+	cfg, _, ok := experiments.CanonicalConfig(study, 0, 0)
+	if !ok {
+		return 0, unknownStudy(study)
 	}
-	return 0, fmt.Errorf("qoe: unknown shard study %q (have: %s, %s, %s)", study, StudyPopAB, StudyPopRating, StudyPopSweepAdaptive)
+	return cfg.Normalize().Shards, nil
 }
 
 // StudyCells returns how many independent grid cells a study's shard space
@@ -62,13 +58,15 @@ func StudyShards(study string) (int, error) {
 // grid travels inside each shard), the sweep-step count for the adaptive
 // study (each step is its own population with its own shard space).
 func StudyCells(study string) (int, error) {
-	switch study {
-	case StudyPopAB, StudyPopRating:
-		return 1, nil
-	case StudyPopSweepAdaptive:
-		return experiments.PopSweepAdaptiveCells(), nil
+	_, cells, _ := experiments.CanonicalConfig(study, 0, 0)
+	if cells == 0 {
+		return 0, unknownStudy(study)
 	}
-	return 0, fmt.Errorf("qoe: unknown shard study %q (have: %s, %s, %s)", study, StudyPopAB, StudyPopRating, StudyPopSweepAdaptive)
+	return cells, nil
+}
+
+func unknownStudy(study string) error {
+	return fmt.Errorf("qoe: unknown shard study %q (have: %s, %s, %s)", study, StudyPopAB, StudyPopRating, StudyPopSweepAdaptive)
 }
 
 // IsAdaptiveStudy reports whether a study's shard requests carry a cell
@@ -160,8 +158,23 @@ func (c *Client) RunShards(ctx context.Context, req ShardRequest) ([]ShardData, 
 	}
 	defer resp.Body.Close()
 
-	out := make([]ShardData, 0, req.Range.Count())
-	sc := bufio.NewScanner(resp.Body)
+	out, err := decodeShardStream(resp.Body, req)
+	if err != nil && ctx.Err() != nil {
+		// A cancelled request surfaces as a cut or failed read; report the
+		// cancellation, not the damage it did to the stream.
+		return nil, ctx.Err()
+	}
+	return out, err
+}
+
+// decodeShardStream reads one shard-run NDJSON stream and validates it
+// strictly against req: schema version, study and cell echo, contiguous
+// shard indices covering exactly req.Range, each with a state, and the
+// closing summary as the last line.
+func decodeShardStream(r io.Reader, req ShardRequest) ([]ShardData, error) {
+	// No capacity from req.Range: the stream, not the request, bounds out.
+	var out []ShardData
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	next := req.Range.Lo
 	closed := false
@@ -207,15 +220,9 @@ func (c *Client) RunShards(ctx context.Context, req ShardRequest) ([]ShardData, 
 		}
 	}
 	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 		return nil, fmt.Errorf("qoe: reading shard stream: %w", err)
 	}
 	if !closed {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 		return nil, ErrTruncatedShardStream
 	}
 	return out, nil
@@ -306,15 +313,15 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 	if err != nil {
 		return err
 	}
-	cellCount, err := StudyCells(req.Study)
-	if err != nil {
-		return err
+	expSeed := core.DeriveSeed(req.Seed, req.Study) // the batch runner's per-experiment derivation
+	cfg, cellCount, ok := experiments.CanonicalConfig(req.Study, expSeed, req.Cell)
+	if cellCount == 0 {
+		return unknownStudy(req.Study)
 	}
-	if req.Cell < 0 || req.Cell >= cellCount {
+	if !ok {
 		return fmt.Errorf("qoe: cell %d out of range for %s (%d cells)", req.Cell, req.Study, cellCount)
 	}
 	prange := population.ShardRange{Lo: req.Range.Lo, Hi: req.Range.Hi}
-	expSeed := core.DeriveSeed(req.Seed, req.Study) // the batch runner's per-experiment derivation
 	tb := e.testbed(scale, req.Scale, req.Seed)
 
 	// Compute all states before writing: a validation error (bad range)
@@ -330,7 +337,7 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		states, err := population.RunABRange(ctx, cells, experiments.PopABConfig(expSeed), prange)
+		states, err := population.RunABRange(ctx, cells, cfg, prange)
 		if err != nil {
 			return err
 		}
@@ -342,7 +349,7 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		states, err := population.RunRatingRange(ctx, cells, experiments.PopRatingConfig(expSeed), prange)
+		states, err := population.RunRatingRange(ctx, cells, cfg, prange)
 		if err != nil {
 			return err
 		}
@@ -359,8 +366,7 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		spec := specs[req.Cell]
-		states, err := population.RunABRange(ctx, spec.Cells, spec.Config, prange)
+		states, err := population.RunABRange(ctx, specs[req.Cell].Cells, cfg, prange)
 		if err != nil {
 			return err
 		}
