@@ -49,8 +49,8 @@
 // Endpoints:
 //
 //	GET  /healthz                 liveness (503 while draining)
-//	GET  /metrics                 expvar counters (runs started/deduped/
-//	                              cache-hit/rejected, queue depth, bytes)
+//	GET  /metrics                 per-server counters and gauges as JSON
+//	                              (?format=prom: Prometheus text)
 //	GET  /v1/catalog              experiments, networks, scenarios, scales
 //	POST /v1/runs                 start a durable run (JSON body)
 //	GET  /v1/runs/{id}            run status

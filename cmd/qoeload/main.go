@@ -301,7 +301,10 @@ func run() int {
 	rep.Blend = *blend
 	rep.Experiments = *experiments
 	rep.Scale = *scale
-	rep.ServerMetrics, rep.ServerLatency = scrapeMetrics(ctx, httpc, baseURL)
+	// Best-effort: a scrape failure drops the section rather than the run.
+	if m, err := qoe.NewClient(baseURL, httpc).Metrics(ctx); err == nil {
+		rep.ServerMetrics = &m
+	}
 
 	rep.evalSLOs(*maxP50, *maxP99, *maxDiskP99, *minRows, *maxErrRate)
 
@@ -486,7 +489,11 @@ type classStats struct {
 }
 
 // report is the harness result, both the JSON document (-json) and the
-// source for the text rendering.
+// source for the text rendering. ServerMetrics is the daemon's /metrics
+// after the run: how the blend actually landed (accepted vs deduped vs
+// cache-hit vs rejected), and under latency the daemon's own per-class
+// serving-latency summary — the server-side complement of the
+// harness-measured PerClass numbers.
 type report struct {
 	Conns         int                   `json:"conns"`
 	Blend         string                `json:"blend"`
@@ -503,13 +510,9 @@ type report struct {
 	BytesPerReq   float64               `json:"alloc_bytes_per_request"`
 	Overall       classStats            `json:"overall"`
 	PerClass      map[string]classStats `json:"per_class"`
-	ServerMetrics map[string]int64      `json:"server_metrics,omitempty"`
-	// ServerLatency is the daemon's own per-class serving-latency summary
-	// (keyed cold/mem/disk/peer/dedup), scraped from /metrics — the
-	// server-side complement of the harness-measured PerClass numbers.
-	ServerLatency map[string]qoe.LatencyStats `json:"server_latency,omitempty"`
-	SLOs          []sloResult                 `json:"slos"`
-	Pass          bool                        `json:"pass"`
+	ServerMetrics *qoe.DaemonMetrics    `json:"server_metrics,omitempty"`
+	SLOs          []sloResult           `json:"slos"`
+	Pass          bool                  `json:"pass"`
 }
 
 // sloResult is one gate's verdict.
@@ -586,43 +589,6 @@ func buildReport(samples []sample, wall time.Duration, before, after runtime.Mem
 	return rep
 }
 
-// scrapeMetrics pulls the daemon's counter map so the report shows how the
-// blend actually landed (accepted vs deduped vs cache-hit vs rejected),
-// plus the server's own per-class latency summaries — the serving-side view
-// of the same requests this harness timed end to end. Best-effort: a scrape
-// failure drops the section rather than the run. Nested objects (fabric,
-// adaptive, build_info) are skipped, not fatal.
-func scrapeMetrics(ctx context.Context, httpc *http.Client, baseURL string) (map[string]int64, map[string]qoe.LatencyStats) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, nil
-	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, nil
-	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		return nil, nil
-	}
-	out := make(map[string]int64, len(raw))
-	for k, v := range raw {
-		var n json.Number
-		if err := json.Unmarshal(v, &n); err != nil {
-			continue
-		}
-		if i, err := n.Int64(); err == nil {
-			out[k] = i
-		}
-	}
-	var lat map[string]qoe.LatencyStats
-	if v, ok := raw["latency"]; ok {
-		_ = json.Unmarshal(v, &lat)
-	}
-	return out, lat
-}
-
 // evalSLOs appends one verdict per configured gate plus the always-on
 // error-rate gate, and sets Pass to their conjunction.
 func (r *report) evalSLOs(maxP50, maxP99, maxDiskP99 time.Duration, minRows, maxErrRate float64) {
@@ -671,14 +637,11 @@ func (r *report) render(w *os.File) {
 		}
 		fmt.Fprintf(w, "  %-8s %8d %12s %12s %12s %8d\n", name, st.Requests, st.P50, st.P99, st.Max, st.Errors)
 	}
-	if len(r.ServerMetrics) > 0 {
+	if m := r.ServerMetrics; m != nil {
 		fmt.Fprintf(w, "  server: accepted=%d deduped=%d cache_hit=%d rejected=%d completed=%d bytes=%d\n",
-			r.ServerMetrics["runs_accepted"], r.ServerMetrics["runs_deduped"], r.ServerMetrics["runs_cache_hit"],
-			r.ServerMetrics["runs_rejected"], r.ServerMetrics["runs_completed"], r.ServerMetrics["bytes_streamed"])
-	}
-	if len(r.ServerLatency) > 0 {
+			m.RunsAccepted, m.RunsDeduped, m.RunsCacheHit, m.RunsRejected, m.RunsCompleted, m.BytesStreamed)
 		for _, name := range []string{"cold", "mem", "disk", "peer", "dedup"} {
-			st, ok := r.ServerLatency[name]
+			st, ok := m.Latency[name]
 			if !ok || st.Count == 0 {
 				continue
 			}

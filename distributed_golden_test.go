@@ -89,7 +89,7 @@ func TestDistributedGoldenOutputs(t *testing.T) {
 		AdaptiveShards int64 `json:"adaptive_shards"`
 		AdaptiveLocal  int64 `json:"adaptive_fell_back"`
 	}
-	if err := json.Unmarshal([]byte(fab.Vars().String()), &counters); err != nil {
+	if err := json.Unmarshal(fab.Metrics().AppendJSON(nil), &counters); err != nil {
 		t.Fatal(err)
 	}
 	if counters.Reduced != 2 || counters.FellBack != 0 {

@@ -11,9 +11,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -95,22 +93,12 @@ func main() {
 	fmt.Printf("%d concurrent participants, all streams identical=%v\n", participants, identical)
 
 	// 6. Ask the daemon how much work all that actually cost.
-	resp, err := http.Get(base + "/metrics")
+	met, err := client.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var met struct {
-		Started  int64 `json:"runs_started"`
-		Deduped  int64 `json:"runs_deduped"`
-		CacheHit int64 `json:"runs_cache_hit"`
-	}
-	if err := json.Unmarshal(raw, &met); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("server metrics: %d simulations for %d requests (%d deduped, %d cache hits)\n",
-		met.Started, 2+participants, met.Deduped, met.CacheHit)
+		met.RunsStarted, 2+participants, met.RunsDeduped, met.RunsCacheHit)
 
 	// 7. Drain gracefully: in-flight runs finish, the cache stays warm.
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)

@@ -31,7 +31,6 @@ package adaptive
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"math"
 	"strconv"
@@ -365,11 +364,13 @@ func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunn
 		// fixed-budget run would have simulated.
 		res.VotesBudget += cr.VotesBudget
 	}
-	counters.runs.Add(1)
-	counters.rounds.Add(int64(res.Rounds))
-	counters.cellsStoppedEarly.Add(int64(stoppedEarly))
-	counters.votesSimulated.Add(res.Votes)
-	counters.votesSaved.Add(res.VotesSaved())
+	if c, _ := ctx.Value(countersKey{}).(*Counters); c != nil {
+		c.runs.Add(1)
+		c.rounds.Add(int64(res.Rounds))
+		c.cellsStoppedEarly.Add(int64(stoppedEarly))
+		c.votesSimulated.Add(res.Votes)
+		c.votesSaved.Add(res.VotesSaved())
+	}
 	return res, nil
 }
 
@@ -467,25 +468,27 @@ func allDecided(states []cellState) bool {
 	return true
 }
 
-// counters are process-wide adaptive telemetry, mounted into qoed's
-// /metrics under "adaptive" (deliberately global: every adaptive run in the
-// process counts, whichever server or session drove it).
-var counters = struct {
-	runs              expvar.Int
-	rounds            expvar.Int
-	cellsStoppedEarly expvar.Int
-	votesSimulated    expvar.Int
-	votesSaved        expvar.Int
-}{}
+// Counters is one server's adaptive telemetry: runs, rounds, cells stopped
+// early, votes simulated and votes saved. RunWith counts into the Counters
+// its context carries (NewContext) and nowhere otherwise.
+type Counters struct {
+	runs, rounds, cellsStoppedEarly, votesSimulated, votesSaved *telemetry.Counter
+}
 
-// Vars exposes the adaptive counters as an expvar map: runs, rounds,
-// cells_stopped_early, votes_simulated, votes_saved.
-func Vars() expvar.Var {
-	m := new(expvar.Map).Init()
-	m.Set("runs", &counters.runs)
-	m.Set("rounds", &counters.rounds)
-	m.Set("cells_stopped_early", &counters.cellsStoppedEarly)
-	m.Set("votes_simulated", &counters.votesSimulated)
-	m.Set("votes_saved", &counters.votesSaved)
-	return m
+// NewCounters registers the adaptive counters in r.
+func NewCounters(r *telemetry.Registry) *Counters {
+	return &Counters{
+		runs:              r.Counter("runs", "Adaptive studies completed."),
+		rounds:            r.Counter("rounds", "Allocation rounds run by adaptive studies."),
+		cellsStoppedEarly: r.Counter("cells_stopped_early", "Cells decided before running their full shard budget."),
+		votesSimulated:    r.Counter("votes_simulated", "Votes simulated by adaptive studies."),
+		votesSaved:        r.Counter("votes_saved", "Votes of the fixed-budget runs that adaptive stopping did not simulate."),
+	}
+}
+
+type countersKey struct{}
+
+// NewContext returns ctx carrying c, the counters RunWith counts into.
+func NewContext(ctx context.Context, c *Counters) context.Context {
+	return context.WithValue(ctx, countersKey{}, c)
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -128,23 +127,14 @@ type Coordinator struct {
 	affMu       sync.Mutex
 	affinity    map[string]*worker
 	affOrder    []string
-	affinityHit expvar.Int
+	affinityHit *telemetry.Counter
 
-	// Counters exported under "fabric" in the daemon's /metrics.
-	jobsDispatched  expvar.Int
-	jobsCompleted   expvar.Int
-	shardsComputed  expvar.Int
-	shardRetries    expvar.Int
-	workerFailures  expvar.Int
-	studiesReduced  expvar.Int
-	studiesFailed   expvar.Int
-	studiesFellBack expvar.Int
-	// Adaptive-study counters: round-barrier grants dispatched as sub-jobs,
-	// the shards they covered, and non-canonical calls that ran locally.
-	adaptiveGrants   expvar.Int
-	adaptiveShards   expvar.Int
-	adaptiveFellBack expvar.Int
-	vars             *expvar.Map
+	// Metrics mounted under "fabric" in the daemon's /metrics.
+	metrics telemetry.Registry
+
+	jobsDispatched, jobsCompleted, shardsComputed, shardRetries    *telemetry.Counter
+	workerFailures, studiesReduced, studiesFailed, studiesFellBack *telemetry.Counter
+	adaptiveGrants, adaptiveShards, adaptiveFellBack               *telemetry.Counter
 }
 
 // affinityRetention bounds the warm-worker affinity table.
@@ -161,34 +151,34 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, u := range cfg.Workers {
 		c.workers = append(c.workers, &worker{url: u, client: qoe.NewClient(u, cfg.HTTPClient), healthy: true})
 	}
-	c.vars = new(expvar.Map).Init()
-	c.vars.Set("affinity_hits", &c.affinityHit)
-	c.vars.Set("jobs_dispatched", &c.jobsDispatched)
-	c.vars.Set("jobs_completed", &c.jobsCompleted)
-	c.vars.Set("shards_computed", &c.shardsComputed)
-	c.vars.Set("shard_retries", &c.shardRetries)
-	c.vars.Set("worker_failures", &c.workerFailures)
-	c.vars.Set("studies_reduced", &c.studiesReduced)
-	c.vars.Set("studies_failed", &c.studiesFailed)
-	c.vars.Set("studies_fell_back", &c.studiesFellBack)
-	c.vars.Set("adaptive_grants", &c.adaptiveGrants)
-	c.vars.Set("adaptive_shards", &c.adaptiveShards)
-	c.vars.Set("adaptive_fell_back", &c.adaptiveFellBack)
-	c.vars.Set("workers", expvar.Func(func() any { return len(c.workers) }))
-	c.vars.Set("workers_healthy", expvar.Func(func() any {
+	r := &c.metrics
+	c.affinityHit = r.Counter("affinity_hits", "Sub-jobs dispatched to the worker that last computed them.")
+	c.jobsDispatched = r.Counter("jobs_dispatched", "Sub-job attempts dispatched to workers.")
+	c.jobsCompleted = r.Counter("jobs_completed", "Sub-jobs that returned a complete shard stream.")
+	c.shardsComputed = r.Counter("shards_computed", "Shard states received from workers.")
+	c.shardRetries = r.Counter("shard_retries", "Sub-job attempts retried after a failed attempt.")
+	c.workerFailures = r.Counter("worker_failures", "Failed worker health probes and sub-job attempts.")
+	c.studiesReduced = r.Counter("studies_reduced", "Studies reduced from worker shard states.")
+	c.studiesFailed = r.Counter("studies_failed", "Studies or adaptive grants that failed over the fabric.")
+	c.studiesFellBack = r.Counter("studies_fell_back", "Non-canonical studies run by the local engine instead.")
+	c.adaptiveGrants = r.Counter("adaptive_grants", "Adaptive round grants dispatched as sub-jobs.")
+	c.adaptiveShards = r.Counter("adaptive_shards", "Shards covered by adaptive grants.")
+	c.adaptiveFellBack = r.Counter("adaptive_fell_back", "Non-canonical adaptive grants run by the local engine instead.")
+	r.Gauge("workers", "Workers in the pool.", func() float64 { return float64(len(c.workers)) })
+	r.Gauge("workers_healthy", "Workers currently presumed healthy.", func() float64 {
 		n := 0
 		for _, w := range c.workers {
 			if ok, _ := w.state(); ok {
 				n++
 			}
 		}
-		return n
-	}))
+		return float64(n)
+	})
 	return c, nil
 }
 
-// Vars returns the coordinator's expvar map for mounting under /metrics.
-func (c *Coordinator) Vars() expvar.Var { return c.vars }
+// Metrics returns the coordinator's registry for mounting under /metrics.
+func (c *Coordinator) Metrics() *telemetry.Registry { return &c.metrics }
 
 // WorkerStatus is one pool member's state as reported by
 // /v1/fabric/workers. Metrics, when populated (WorkersStatusObserved),

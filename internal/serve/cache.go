@@ -2,8 +2,9 @@ package serve
 
 import (
 	"container/list"
-	"expvar"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // tier is one link of the chain of finished tiers the server walks, fastest
@@ -12,9 +13,9 @@ import (
 // so a hit anywhere replays exactly the bytes a fresh simulation would
 // produce.
 type tier struct {
-	source string      // X-Qoe-Source header value: "cache" or "disk"
-	class  string      // latency-histogram class and admit-span outcome
-	hits   *expvar.Int // the tier's cache_hits_* counter
+	source string             // X-Qoe-Source header value: "cache" or "disk"
+	class  string             // latency-histogram class and admit-span outcome
+	hits   *telemetry.Counter // the tier's cache_hits_* counter
 	get    func(id string) (data []byte, key string, ok bool)
 	has    func(id string) bool // existence only: no read, no recency bump
 }

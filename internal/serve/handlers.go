@@ -15,7 +15,7 @@ import (
 // routes wires the HTTP API:
 //
 //	GET  /healthz               liveness (503 while draining)
-//	GET  /metrics               expvar counter map
+//	GET  /metrics               metrics registry (JSON, or ?format=prom)
 //	GET  /v1/catalog            experiments, scenario library, scales
 //	POST /v1/runs               start (or dedup/cache-route) a run; JSON body
 //	GET  /v1/runs/{id}          run status

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"expvar"
 	"net/http"
 	"time"
 
@@ -9,123 +8,94 @@ import (
 	"repro/internal/telemetry"
 )
 
-// metrics is the server's counter set, exported as an expvar.Map that is
-// deliberately NOT published to the process-global expvar registry — each
-// Server owns its own map, so tests (and a future multi-tenant binary) can
-// run many servers without name collisions. The /metrics endpoint renders
-// the map as JSON.
+// metrics is the server's metric set. Each Server owns its registry, so many
+// servers in one process (every fabric test) never share a number. The
+// /metrics endpoint renders it.
 type metrics struct {
-	// Admission outcomes: every run request lands in exactly one of
-	// accepted (fresh job enqueued), deduped (attached to a live job),
-	// cacheHit (replayed finished bytes), or rejected (queue full).
-	runsAccepted expvar.Int
-	runsDeduped  expvar.Int
-	runsCacheHit expvar.Int
-	runsRejected expvar.Int
+	reg telemetry.Registry
 
-	// Execution outcomes: started counts worker pickups; completed and
-	// failed partition the finished runs. A peer-filled job increments
-	// NEITHER — nothing simulated, so a fully warm fleet shows runs_started
-	// frozen while cache_hits_peer climbs.
-	runsStarted   expvar.Int
-	runsCompleted expvar.Int
-	runsFailed    expvar.Int
+	runsAccepted, runsDeduped, runsCacheHit, runsRejected *telemetry.Counter
+	// completed and failed partition started. A peer-filled job counts in
+	// none of them: nothing simulated, so a fully warm fleet shows
+	// runs_started frozen while cache_hits_peer climbs.
+	runsStarted, runsCompleted, runsFailed       *telemetry.Counter
+	cacheHitsMem, cacheHitsDisk, cacheHitsPeer   *telemetry.Counter
+	prewarmWarmed, prewarmAlready, prewarmFailed *telemetry.Counter
+	bytesStreamed                                *telemetry.Counter
 
-	// Per-tier hits of the RAM → disk → peer hierarchy. mem and disk count
-	// every replay served from that tier (admission and by-ID lookups both);
-	// peer counts misses filled from the fleet instead of simulated. The
-	// cache_hit_rate gauge derives from these.
-	cacheHitsMem  expvar.Int
-	cacheHitsDisk expvar.Int
-	cacheHitsPeer expvar.Int
-
-	// Prewarm outcomes (the boot-time grid walk): tuples computed, tuples
-	// already warm in some tier, tuples that failed.
-	prewarmWarmed  expvar.Int
-	prewarmAlready expvar.Int
-	prewarmFailed  expvar.Int
-
-	// bytesStreamed counts NDJSON bytes actually delivered to clients,
-	// across live broadcasts and cache replays.
-	bytesStreamed expvar.Int
-
-	vars *expvar.Map
+	// adaptive travels on every run context, so the sequential-stopping
+	// engine counts into this server's registry.
+	adaptive *adaptive.Counters
 }
 
 func newMetrics(s *Server) *metrics {
-	m := &metrics{vars: new(expvar.Map).Init()}
-	m.vars.Set("runs_accepted", &m.runsAccepted)
-	m.vars.Set("runs_deduped", &m.runsDeduped)
-	m.vars.Set("runs_cache_hit", &m.runsCacheHit)
-	m.vars.Set("runs_rejected", &m.runsRejected)
-	m.vars.Set("runs_started", &m.runsStarted)
-	m.vars.Set("runs_completed", &m.runsCompleted)
-	m.vars.Set("runs_failed", &m.runsFailed)
-	m.vars.Set("bytes_streamed", &m.bytesStreamed)
+	m := &metrics{}
+	r := &m.reg
+	m.runsAccepted = r.Counter("runs_accepted", "Run requests that enqueued a fresh job.")
+	m.runsDeduped = r.Counter("runs_deduped", "Run requests attached to a live job for the same tuple.")
+	m.runsCacheHit = r.Counter("runs_cache_hit", "Run requests replayed from finished bytes in a tier.")
+	m.runsRejected = r.Counter("runs_rejected", "Run requests shed with 429 because the job queue was full.")
+	m.runsStarted = r.Counter("runs_started", "Jobs a worker picked up and simulated; peer fills are not counted.")
+	m.runsCompleted = r.Counter("runs_completed", "Simulated jobs that finished successfully.")
+	m.runsFailed = r.Counter("runs_failed", "Simulated jobs that finished with an error.")
+	m.bytesStreamed = r.Counter("bytes_streamed", "NDJSON bytes delivered to clients, live broadcasts and replays.")
+	m.cacheHitsMem = r.Counter("cache_hits_mem", "Replays served from the RAM tier.")
+	m.cacheHitsDisk = r.Counter("cache_hits_disk", "Replays served from the disk tier.")
+	m.cacheHitsPeer = r.Counter("cache_hits_peer", "Misses filled from a warm peer instead of simulated.")
+	m.prewarmWarmed = r.Counter("prewarm_warmed", "Boot-time prewarm tuples computed.")
+	m.prewarmAlready = r.Counter("prewarm_already_warm", "Boot-time prewarm tuples already warm in some tier.")
+	m.prewarmFailed = r.Counter("prewarm_failed", "Boot-time prewarm tuples that failed.")
+
 	// Gauges read live server state on scrape.
-	m.vars.Set("queue_depth", expvar.Func(func() any { return len(s.queue) }))
-	m.vars.Set("queue_capacity", expvar.Func(func() any { return cap(s.queue) }))
-	m.vars.Set("live_runs", expvar.Func(func() any {
+	r.Gauge("queue_depth", "Jobs waiting in the queue.", func() float64 { return float64(len(s.queue)) })
+	r.Gauge("queue_capacity", "Jobs the queue holds before shedding load.", func() float64 { return float64(cap(s.queue)) })
+	r.Gauge("live_runs", "Jobs in the singleflight table, queued or running.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.live)
-	}))
-	m.vars.Set("cache_bytes", expvar.Func(func() any { return s.cache.bytes() }))
-	m.vars.Set("cache_entries", expvar.Func(func() any { return s.cache.entries() }))
-	m.vars.Set("cache_evictions", expvar.Func(func() any { return s.cache.evicted() }))
-	m.vars.Set("cache_hits_mem", &m.cacheHitsMem)
-	m.vars.Set("cache_hits_disk", &m.cacheHitsDisk)
-	m.vars.Set("cache_hits_peer", &m.cacheHitsPeer)
-	// Fleet-visible hit rate: the fraction of resolved runs served without a
-	// local simulation. Fills from peers count as hits — the fleet did the
-	// work once — and runs_started is the complement (every pickup that
-	// wasn't a hit). 0 until the first run resolves.
-	m.vars.Set("cache_hit_rate", expvar.Func(func() any {
+		return float64(len(s.live))
+	})
+	r.Gauge("cache_bytes", "Bytes resident in the RAM result cache.", func() float64 { return float64(s.cache.bytes()) })
+	r.Gauge("cache_entries", "Streams resident in the RAM result cache.", func() float64 { return float64(s.cache.entries()) })
+	r.Gauge("cache_evictions", "Streams the byte budget has pushed out of the RAM result cache.", func() float64 { return float64(s.cache.evicted()) })
+	// Peer fills count as hits — the fleet did the work once — and
+	// runs_started is the complement: every pickup that wasn't a hit.
+	r.Gauge("cache_hit_rate", "Share of resolved runs served without a local simulation; 0 until the first run resolves.", func() float64 {
 		hits := m.cacheHitsMem.Value() + m.cacheHitsDisk.Value() + m.cacheHitsPeer.Value()
 		total := hits + m.runsStarted.Value()
 		if total == 0 {
-			return 0.0
+			return 0
 		}
 		return float64(hits) / float64(total)
-	}))
-	m.vars.Set("prewarm_warmed", &m.prewarmWarmed)
-	m.vars.Set("prewarm_already_warm", &m.prewarmAlready)
-	m.vars.Set("prewarm_failed", &m.prewarmFailed)
-	m.vars.Set("workers", expvar.Func(func() any { return s.cfg.Workers }))
+	})
+	r.Gauge("workers", "Maximum concurrent simulations.", func() float64 { return float64(s.cfg.Workers) })
 	if s.store != nil {
-		m.vars.Set("store_entries", expvar.Func(func() any { return s.store.Entries() }))
-		m.vars.Set("store_bytes", expvar.Func(func() any { return s.store.Bytes() }))
-		m.vars.Set("store_quarantined", expvar.Func(func() any { return s.store.Quarantined() }))
+		r.Gauge("store_entries", "Streams committed to the disk spill store.", func() float64 { return float64(s.store.Entries()) })
+		r.Gauge("store_bytes", "On-disk size of the spill store, frames included.", func() float64 { return float64(s.store.Bytes()) })
+		r.Gauge("store_quarantined", "Corrupt spill entries this process has quarantined.", func() float64 { return float64(s.store.Quarantined()) })
 	}
 	if s.cfg.Fabric != nil {
-		// The coordinator's counters (shard retries, worker failures, …)
-		// surface under one "fabric" key so a smoke test can assert them.
-		m.vars.Set("fabric", s.cfg.Fabric.Vars())
+		r.Mount("fabric", s.cfg.Fabric.Metrics())
 	}
-	// The sequential-stopping engine's process-global counters (rounds,
-	// cells stopped early, votes saved) surface under "adaptive" — the
-	// operational view of how much simulation the allocator is avoiding.
-	m.vars.Set("adaptive", adaptive.Vars())
-	// Observability of the daemon itself: what it's running, for how long,
-	// per-class serving latency quantiles, and (when tracing is on) the
-	// trace ring's occupancy.
-	m.vars.Set("uptime_seconds", expvar.Func(func() any { return time.Since(s.started).Seconds() }))
-	m.vars.Set("build_info", expvar.Func(func() any { return telemetry.BuildInfo() }))
-	m.vars.Set("latency", expvar.Func(func() any { return s.lat.Snapshot() }))
+	ad := new(telemetry.Registry)
+	m.adaptive = adaptive.NewCounters(ad)
+	r.Mount("adaptive", ad)
+
+	r.Gauge("uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(s.started).Seconds() })
+	r.Value("build_info", "Version, VCS revision and Go toolchain of the binary.", func() any { return telemetry.BuildInfo() })
+	r.Value("latency", "Serving latency quantiles in seconds per resolution class: cold, mem, disk, peer, dedup.", func() any { return s.lat.Snapshot() })
 	if s.tr != nil {
-		m.vars.Set("traces_retained", expvar.Func(func() any { return s.tr.Traces() }))
-		m.vars.Set("trace_spans_dropped", expvar.Func(func() any { return s.tr.Dropped() }))
+		r.Gauge("traces_retained", "Traces held in the in-memory trace ring.", func() float64 { return float64(s.tr.Traces()) })
+		r.Gauge("trace_spans_dropped", "Spans dropped because their trace reached its span bound.", func() float64 { return float64(s.tr.Dropped()) })
 	}
 	return m
 }
 
-// handleMetrics renders the counter map: by default the canonical expvar
-// JSON (expvar.Map.String(), so the endpoint costs nothing new), or — with
-// ?format=prom — the Prometheus text exposition of the same metric set plus
-// the per-class latency summaries and the build-info gauge.
+// handleMetrics renders the registry: by default as JSON, or — with
+// ?format=prom — as Prometheus text exposition plus the per-class latency
+// summaries and the build-info gauge.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" {
-		buf := telemetry.AppendPromMap(make([]byte, 0, 8<<10), "qoed", s.met.vars)
+		buf := s.met.reg.AppendProm(make([]byte, 0, 8<<10), "qoed")
 		buf = s.lat.AppendProm(buf, "qoed_request_latency_seconds")
 		buf = telemetry.AppendPromBuildInfo(buf, "qoed", telemetry.BuildInfo())
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -133,6 +103,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write([]byte(s.met.vars.String()))
-	_, _ = w.Write([]byte("\n"))
+	_, _ = w.Write(append(s.met.reg.AppendJSON(make([]byte, 0, 2<<10)), '\n'))
 }

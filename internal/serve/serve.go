@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/store"
@@ -269,9 +270,9 @@ func Open(cfg Config) (*Server, error) {
 	s.runFn = s.defaultRun
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.met = newMetrics(s)
-	s.tiers = []*tier{{source: "cache", class: "mem", hits: &s.met.cacheHitsMem, get: s.cache.get, has: s.cache.has}}
+	s.tiers = []*tier{{source: "cache", class: "mem", hits: s.met.cacheHitsMem, get: s.cache.get, has: s.cache.has}}
 	if s.store != nil {
-		s.tiers = append(s.tiers, &tier{source: "disk", class: "disk", hits: &s.met.cacheHitsDisk, get: s.store.Get, has: s.store.Has})
+		s.tiers = append(s.tiers, &tier{source: "disk", class: "disk", hits: s.met.cacheHitsDisk, get: s.store.Get, has: s.store.Has})
 	}
 	s.mux = s.routes()
 	for i := 0; i < cfg.Workers; i++ {
@@ -485,7 +486,8 @@ func (s *Server) runJob(j *job) {
 	s.met.runsStarted.Add(1)
 	j.start()
 	sim := s.tr.Start(j.traceID, "simulate", root.ID())
-	runCtx := j.runCtx
+	// The adaptive engine counts into this server's registry.
+	runCtx := adaptive.NewContext(j.runCtx, s.met.adaptive)
 	if s.tr != nil {
 		// Layers below the handler (the fabric backend inside a session, the
 		// adaptive engine) parent their spans under the simulate span.

@@ -784,8 +784,8 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: the expvar map serves as JSON and carries the core
-// counters.
+// TestMetricsEndpoint: the metrics registry serves as JSON and carries the
+// core counters.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1}, nil)
 	code, body := get(t, ts.URL+"/metrics")

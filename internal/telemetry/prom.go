@@ -1,91 +1,25 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
-	"sort"
 	"strconv"
 )
 
-// Prometheus text exposition (version 0.0.4) rendered generically from the
-// server's expvar.Map, so every counter the JSON /metrics view exposes shows
-// up under /metrics?format=prom without per-metric plumbing: Ints become
-// counters, Func gauges become gauges, and nested maps (fabric, adaptive)
-// recurse with a prefixed namespace. Latency histograms render as summaries
+// Prometheus text exposition (version 0.0.4) of the pieces that are not
+// plain registry counters and gauges. Latency histograms render as summaries
 // with quantile labels, which is the honest exposition for interpolated
 // quantiles out of a fixed-bin histogram.
 
-// AppendPromMap renders m into buf as exposition lines, each metric named
-// ns_<key> (keys sanitized to the Prometheus grammar). Nested expvar.Maps
-// recurse with the key appended to the namespace.
-func AppendPromMap(buf []byte, ns string, m *expvar.Map) []byte {
-	type entry struct {
-		key string
-		v   expvar.Var
-	}
-	var entries []entry
-	m.Do(func(kv expvar.KeyValue) {
-		entries = append(entries, entry{key: kv.Key, v: kv.Value})
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	for _, e := range entries {
-		name := ns + "_" + sanitizeMetricName(e.key)
-		switch v := e.v.(type) {
-		case *expvar.Int:
-			buf = appendPromSample(buf, name, "counter", float64(v.Value()))
-		case *expvar.Float:
-			buf = appendPromSample(buf, name, "gauge", v.Value())
-		case *expvar.Map:
-			buf = AppendPromMap(buf, name, v)
-		default:
-			// Func gauges (and anything else) round-trip through their JSON
-			// rendering: numbers become gauges, objects flatten one level of
-			// numeric fields, non-numeric values are skipped.
-			buf = appendPromJSON(buf, name, e.v.String())
-		}
-	}
-	return buf
-}
-
-func appendPromJSON(buf []byte, name, js string) []byte {
-	var v any
-	if err := json.Unmarshal([]byte(js), &v); err != nil {
-		return buf
-	}
-	switch x := v.(type) {
-	case float64:
-		return appendPromSample(buf, name, "gauge", x)
-	case bool:
-		f := 0.0
-		if x {
-			f = 1.0
-		}
-		return appendPromSample(buf, name, "gauge", f)
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if f, ok := x[k].(float64); ok {
-				buf = appendPromSample(buf, name+"_"+sanitizeMetricName(k), "gauge", f)
-			}
-		}
-	}
-	return buf
-}
-
-func appendPromSample(buf []byte, name, typ string, val float64) []byte {
-	buf = append(buf, "# TYPE "...)
+// appendPromHeader writes a metric family's # HELP and # TYPE lines.
+func appendPromHeader(buf []byte, name, help string, kind Kind) []byte {
+	buf = append(buf, "# HELP "...)
 	buf = append(buf, name...)
 	buf = append(buf, ' ')
-	buf = append(buf, typ...)
-	buf = append(buf, '\n')
+	buf = append(buf, help...)
+	buf = append(buf, "\n# TYPE "...)
 	buf = append(buf, name...)
 	buf = append(buf, ' ')
-	buf = strconv.AppendFloat(buf, val, 'g', -1, 64)
+	buf = append(buf, kind...)
 	return append(buf, '\n')
 }
 
@@ -96,9 +30,7 @@ func (s *LatencySet) AppendProm(buf []byte, ns string) []byte {
 	if s == nil {
 		return buf
 	}
-	buf = append(buf, "# TYPE "...)
-	buf = append(buf, ns...)
-	buf = append(buf, " summary\n"...)
+	buf = appendPromHeader(buf, ns, "Latency in seconds by class, quantiles interpolated from a log-domain histogram.", "summary")
 	for i, class := range s.classes {
 		st := s.hists[i].Snapshot()
 		for _, q := range [...]struct {
@@ -133,43 +65,9 @@ func (s *LatencySet) AppendProm(buf []byte, ns string) []byte {
 // AppendPromBuildInfo renders the conventional build-info gauge:
 // ns_build_info{version="…",revision="…"} 1.
 func AppendPromBuildInfo(buf []byte, ns string, b Build) []byte {
-	buf = append(buf, "# TYPE "...)
-	buf = append(buf, ns...)
-	buf = append(buf, "_build_info gauge\n"...)
+	buf = appendPromHeader(buf, ns+"_build_info", "Build identity of the running binary; the value is always 1.", KindGauge)
 	buf = append(buf, ns...)
 	buf = append(buf, "_build_info{"...)
 	buf = append(buf, fmt.Sprintf("version=%q,revision=%q,go=%q", b.Version, b.Revision, b.GoVersion)...)
 	return append(buf, "} 1\n"...)
-}
-
-// AppendPromGauge renders one standalone gauge sample.
-func AppendPromGauge(buf []byte, name string, val float64) []byte {
-	return appendPromSample(buf, name, "gauge", val)
-}
-
-func sanitizeMetricName(s string) string {
-	ok := true
-	for i := 0; i < len(s); i++ {
-		if !isMetricChar(s[i], i) {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		return s
-	}
-	b := []byte(s)
-	for i := range b {
-		if !isMetricChar(b[i], i) {
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-func isMetricChar(c byte, i int) bool {
-	if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' {
-		return true
-	}
-	return c >= '0' && c <= '9' && i > 0
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer of the serving fleet: a
 // lightweight, allocation-disciplined tracing facility (spans at run/shard
 // granularity, pooled, never per-vote), per-class latency histograms built
-// on stats.StreamHist, a Prometheus text renderer for expvar counter maps,
-// structured-logging helpers, and build-info reporting.
+// on stats.StreamHist, a typed metrics registry rendered both as JSON and as
+// Prometheus text, structured-logging helpers, and build-info reporting.
 //
 // Tracing model. A trace is the complete lifecycle of one canonical run —
 // admission, queue wait, simulate, publish, plus disk reads/writes, peer

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -276,38 +276,71 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	}
 }
 
-func TestPromExposition(t *testing.T) {
-	m := new(expvar.Map).Init()
-	var c expvar.Int
-	c.Set(7)
-	m.Set("runs_accepted", &c)
-	m.Set("cache_hit_rate", expvar.Func(func() any { return 0.5 }))
-	nested := new(expvar.Map).Init()
-	var n expvar.Int
-	n.Set(3)
-	nested.Set("shard_retries", &n)
-	m.Set("fabric", nested)
-	m.Set("weird.key", expvar.Func(func() any { return 1 }))
-	m.Set("status", expvar.Func(func() any { return "ok" })) // non-numeric: skipped
+// TestRegistryRendersBothViews: one set of descriptors renders the JSON view
+// in its established layout (name order, nested mounts, integral gauges as
+// integers) and the Prometheus view with # HELP and # TYPE per family.
+func TestRegistryRendersBothViews(t *testing.T) {
+	var r Registry
+	r.Counter("runs_accepted", "Accepted runs.").Add(7)
+	r.Gauge("cache_bytes", "Resident bytes.", func() float64 { return 64 << 20 })
+	r.Gauge("cache_hit_rate", "Hit share.", func() float64 { return 0.5 })
+	r.Gauge("broken", "A gauge that cannot be JSON.", func() float64 { return math.NaN() })
+	r.Value("build_info", "Build identity.", func() any { return map[string]string{"version": "v1"} })
+	var sub Registry
+	sub.Counter("shard_retries", "Retries.").Add(3)
+	r.Mount("fabric", &sub)
 
-	out := string(AppendPromMap(nil, "qoed", m))
+	want := `{"broken": null, "build_info": {"version":"v1"}, "cache_bytes": 67108864, "cache_hit_rate": 0.5, "fabric": {"shard_retries": 3}, "runs_accepted": 7}`
+	if got := string(r.AppendJSON(nil)); got != want {
+		t.Fatalf("JSON view:\n got %s\nwant %s", got, want)
+	}
+	out := string(r.AppendProm(nil, "qoed"))
 	for _, want := range []string{
-		"# TYPE qoed_runs_accepted counter\nqoed_runs_accepted 7\n",
-		"# TYPE qoed_cache_hit_rate gauge\nqoed_cache_hit_rate 0.5\n",
+		"# HELP qoed_runs_accepted Accepted runs.\n# TYPE qoed_runs_accepted counter\nqoed_runs_accepted 7\n",
+		"# HELP qoed_cache_hit_rate Hit share.\n# TYPE qoed_cache_hit_rate gauge\nqoed_cache_hit_rate 0.5\n",
 		"# TYPE qoed_fabric_shard_retries counter\nqoed_fabric_shard_retries 3\n",
-		"qoed_weird_key 1\n",
+		"qoed_broken NaN\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "status") {
-		t.Fatalf("non-numeric var leaked into exposition:\n%s", out)
+	if strings.Contains(out, "build_info") {
+		t.Fatalf("JSON-only value leaked into exposition:\n%s", out)
 	}
+	var names []string
+	r.Each(func(name string, kind Kind, help string) { names = append(names, name+":"+string(kind)) })
+	if got, want := strings.Join(names, " "), "broken:gauge build_info:json cache_bytes:gauge cache_hit_rate:gauge fabric.shard_retries:counter runs_accepted:counter"; got != want {
+		t.Fatalf("Each = %s, want %s", got, want)
+	}
+}
 
+// TestRegistryRejectsBadRegistrations: duplicate names, names outside the
+// Prometheus grammar and missing or multi-line help are programming errors.
+func TestRegistryRejectsBadRegistrations(t *testing.T) {
+	for name, register := range map[string]func(r *Registry){
+		"duplicate":     func(r *Registry) { r.Counter("x", "h"); r.Gauge("x", "h", nil) },
+		"dotted":        func(r *Registry) { r.Counter("weird.key", "h") },
+		"leading digit": func(r *Registry) { r.Counter("1x", "h") },
+		"empty":         func(r *Registry) { r.Mount("", new(Registry)) },
+		"no help":       func(r *Registry) { r.Counter("x", "") },
+		"two lines":     func(r *Registry) { r.Counter("x", "a\nb") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s registration did not panic", name)
+				}
+			}()
+			register(new(Registry))
+		}()
+	}
+}
+
+func TestPromExposition(t *testing.T) {
 	set := NewLatencySet("mem")
 	set.Observe("mem", time.Millisecond)
-	out = string(set.AppendProm(nil, "qoed_request_latency_seconds"))
+	out := string(set.AppendProm(nil, "qoed_request_latency_seconds"))
 	for _, want := range []string{
 		"# TYPE qoed_request_latency_seconds summary",
 		`qoed_request_latency_seconds{class="mem",quantile="0.5"} `,
