@@ -156,7 +156,7 @@ func BenchmarkAblationHOL(b *testing.B) {
 	opts := experiments.Options{Scale: core.Scale{Sites: benchScale().Sites[:1], Reps: 1}, Seed: 9}
 	for i := 0; i < b.N; i++ {
 		rows := experiments.AblationHOL(opts)
-		experiments.RenderAblation(io.Discard, "HOL", rows)
+		experiments.AblationResult{Title: "HOL", Rows: rows}.Render(io.Discard)
 	}
 }
 
@@ -209,7 +209,7 @@ func BenchmarkPopSweep(b *testing.B) {
 // BenchmarkPopSweepAdaptive runs the sequential-stopping crossover at the
 // same canonical tuple. The acceptance bar is votes/op at least 5x below
 // BenchmarkPopSweep's (the committed goldens pin 7,820 of 125,000 — 16x);
-// tools/benchdiff compares the recorded rows.
+// run both with -bench BenchmarkPopSweep to compare their votes/op.
 func BenchmarkPopSweepAdaptive(b *testing.B) {
 	e, ok := experiments.Lookup("pop-sweep-adaptive")
 	if !ok {
@@ -361,12 +361,22 @@ func BenchmarkCubicOnAck(b *testing.B) {
 	}
 }
 
-// BenchmarkBBROnAck measures the BBR filter/state-machine hot path.
+// BenchmarkBBROnAck measures the BBR filter/state-machine hot path in
+// steady state. The warm-up fills both windowed filters past their windows
+// first (as TestBBROnAckSteadyStateAllocFree does), so the growth of their
+// backing arrays is not timed; one clock runs on across warm-up and loop.
 func BenchmarkBBROnAck(b *testing.B) {
 	b.ReportAllocs()
 	bb := congestion.NewBBR(congestion.Config{})
+	now := time.Duration(0)
+	for i := 0; i < 1024; i++ {
+		now += 50 * time.Millisecond
+		bb.OnAck(now, 14600, 50*time.Millisecond, 2e6, 29200)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bb.OnAck(time.Duration(i)*50*time.Millisecond, 14600, 50*time.Millisecond, 2e6, 29200)
+		now += 50 * time.Millisecond
+		bb.OnAck(now, 14600, 50*time.Millisecond, 2e6, 29200)
 	}
 }
 

@@ -58,10 +58,12 @@
 // and are recycled, hot callbacks are scheduled as a function plus pre-bound
 // argument rather than a closure, and study loops reuse their participant
 // models and scratch — so a full `qoebench all` batch is GC-quiet and ~3x
-// faster than the closure-per-event design it replaced (BENCH_pr*.json,
-// diffable with tools/benchdiff), while every golden output stays
-// byte-identical. qoebench's -cpuprofile, -memprofile, and -bench-trace
-// flags expose the run to the standard Go profiling tools.
+// faster than the closure-per-event design it replaced, while every golden
+// output stays byte-identical. The end-to-end benchmark is perfbench
+// (workloads and bounds in BENCHMARK.json); the root micro-benchmarks and
+// the allocation gates cover single layers. qoebench's -cpuprofile,
+// -memprofile, and -bench-trace flags expose the run to the standard Go
+// profiling tools.
 //
 // The serving layer (internal/serve, fronted publicly by pkg/qoe/qoed and
 // cmd/qoed) turns the SDK into the hosted study service the paper actually

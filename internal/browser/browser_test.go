@@ -59,8 +59,9 @@ func TestLoadAllLabSitesAllNetworks(t *testing.T) {
 func TestVisualCompletenessReachesOne(t *testing.T) {
 	site := webpage.ByName("wikipedia.org")
 	res := loadOne(t, site, simnet.DSL, quicStock(), 3)
-	if vc := res.Trace.FinalVC(); vc < 0.999 {
-		t.Fatalf("final VC = %f", vc)
+	pts := res.Trace.Points
+	if len(pts) == 0 || pts[len(pts)-1].VC < 0.999 {
+		t.Fatalf("final VC below 1: %v", pts)
 	}
 }
 
@@ -145,14 +146,5 @@ func TestMaxLoadTimeAborts(t *testing.T) {
 	}
 	if res.Report.Complete {
 		t.Fatal("aborted load must not produce a complete report")
-	}
-}
-
-func TestControlSitesOrdering(t *testing.T) {
-	fast := loadOne(t, webpage.ControlFast(), simnet.LTE, quicStock(), 17)
-	slow := loadOne(t, webpage.ControlSlow(), simnet.LTE, quicStock(), 17)
-	if fast.Report.SI*3 > slow.Report.SI {
-		t.Fatalf("control stimuli not contrasting: fast SI %v vs slow SI %v",
-			fast.Report.SI, slow.Report.SI)
 	}
 }

@@ -83,19 +83,6 @@ type Session struct {
 // RuleCount is the number of filter rules.
 const RuleCount = 7
 
-// RuleNames returns R1..R7 short descriptions.
-func RuleNames() [RuleCount]string {
-	return [RuleCount]string{
-		"R1 video not played",
-		"R2 video stalled",
-		"R3 focus loss > 10s",
-		"R4 vote before FVC",
-		"R5 study > 25min / question > 2min",
-		"R6 control video wrong",
-		"R7 control question wrong",
-	}
-}
-
 // violates reports whether the session breaks rule i (0-based).
 func (s *Session) violates(rule int) bool {
 	switch rule {

@@ -327,16 +327,3 @@ func TestPacerConvergesToRate(t *testing.T) {
 		t.Fatalf("elapsed = %v s, want ~0.045", elapsed)
 	}
 }
-
-func TestPacerQuantaOverride(t *testing.T) {
-	p := NewPacer(1000)
-	p.SetQuanta(1, 1)
-	rate := 1e6
-	if d := p.NextSendDelay(0, 1000, rate); d != 0 {
-		t.Fatal("first segment should pass")
-	}
-	p.OnSent(0, 1000, rate)
-	if d := p.NextSendDelay(0, 1000, rate); d <= 0 {
-		t.Fatal("second segment should be paced with 1-segment quantum")
-	}
-}

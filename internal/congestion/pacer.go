@@ -32,12 +32,6 @@ func NewPacer(mss int) *Pacer {
 	}
 }
 
-// SetQuanta overrides the burst quanta (in segments).
-func (p *Pacer) SetQuanta(initialSegments, refillSegments int) {
-	p.initialQuantum = initialSegments * p.mss
-	p.refillQuantum = refillSegments * p.mss
-}
-
 // refill credits tokens earned since the last update at the given rate.
 // Refill never pushes the balance above the refill quantum, but a balance
 // already above it (the initial quantum) is preserved until consumed.

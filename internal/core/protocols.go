@@ -19,17 +19,11 @@ func ProtocolNames() []string {
 	return []string{"TCP", "TCP+", "TCP+BBR", "QUIC", "QUIC+BBR"}
 }
 
-// bdpFor computes the downlink bandwidth-delay product the tuned TCP stacks
-// size their buffers with.
-func bdpFor(net simnet.NetworkConfig) int {
-	return int(float64(net.DownlinkBps) / 8 * net.MinRTT.Seconds())
-}
-
 // Protocol returns the named Table 1 stack parameterized for the given
 // network (the tuned TCP buffers depend on the BDP, like the paper's
 // testbed reconfiguration step).
 func Protocol(name string, net simnet.NetworkConfig) (httpsim.Protocol, error) {
-	bdp := bdpFor(net)
+	bdp := net.BDPBytes()
 	switch name {
 	case "TCP":
 		return httpsim.TCPStack{Opts: tcpsim.Stock()}, nil

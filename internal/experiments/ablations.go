@@ -161,11 +161,6 @@ func (r AblationResult) CSV(w io.Writer) error {
 // JSON writes the full result as indented JSON.
 func (r AblationResult) JSON(w io.Writer) error { return writeJSON(w, r) }
 
-// RenderAblation prints ablation rows under a title.
-func RenderAblation(w io.Writer, title string, rows []AblationRow) {
-	AblationResult{Title: title, Rows: rows}.Render(w)
-}
-
 // ablationExp registers one ablation/extension comparison. Ablations drive
 // browser.Load directly (they compare protocol variants outside the Table 1
 // catalog), so they declare no testbed conditions and ignore the shared

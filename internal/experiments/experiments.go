@@ -56,11 +56,6 @@ type AdaptiveOptions struct {
 	Workers     int
 }
 
-// DefaultOptions uses the quick scale with the canonical seed.
-func DefaultOptions() Options {
-	return Options{Scale: core.QuickScale(), Seed: 1}
-}
-
 // Table1Result carries the protocol-configuration table.
 type Table1Result struct {
 	Rows []core.Table1Row

@@ -38,7 +38,7 @@ func runFresh[R Result](t testing.TB, name string, opts Options) R {
 
 func TestTable1Render(t *testing.T) {
 	var buf bytes.Buffer
-	runFresh[Table1Result](t, "table1", DefaultOptions()).Render(&buf)
+	runFresh[Table1Result](t, "table1", Options{Scale: core.QuickScale(), Seed: 1}).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"TCP+", "QUIC+BBR", "IW32", "IW10"} {
 		if !strings.Contains(out, want) {
@@ -49,7 +49,7 @@ func TestTable1Render(t *testing.T) {
 
 func TestTable2Render(t *testing.T) {
 	var buf bytes.Buffer
-	runFresh[Table2Result](t, "table2", DefaultOptions()).Render(&buf)
+	runFresh[Table2Result](t, "table2", Options{Scale: core.QuickScale(), Seed: 1}).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"DSL", "LTE", "DA2GC", "MSS", "760ms", "6.0%"} {
 		if !strings.Contains(out, want) {
@@ -256,7 +256,7 @@ func TestAblationsRun(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderAblation(&buf, "IW", iw)
+	AblationResult{Title: "IW", Rows: iw}.Render(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty render")
 	}

@@ -251,12 +251,6 @@ func (c *Coordinator) CheckWorkers(ctx context.Context) error {
 	return nil
 }
 
-// planFor splits a study at one run tuple, with planStudy's default job
-// size.
-func (c *Coordinator) planFor(study string, scale qoe.Scale, seed int64) (Plan, error) {
-	return planStudy(study, scale, seed, len(c.workers), 0)
-}
-
 // nextWorker picks a dispatch target: round-robin over healthy workers,
 // falling back to plain round-robin when none are marked healthy (so a
 // fully-degraded pool still gets retry probes instead of deadlocking).
@@ -518,7 +512,7 @@ func (b tupleBackend) RunRating(ctx context.Context, cells []population.RatingCe
 // order — with reduce.
 func reduceStudy[S, R any](ctx context.Context, b tupleBackend, study string, reduce func([]S) (R, error)) (R, error) {
 	var res R
-	plan, err := b.c.planFor(study, b.scale, b.seed)
+	plan, err := planStudy(study, b.scale, b.seed, len(b.c.workers))
 	if err != nil {
 		return res, err
 	}

@@ -425,24 +425,22 @@ func TestPlanCoversShardSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 5, 7, 64, 100} {
-		for _, perJob := range []int{0, 1, 3, 10, 64, 1000} {
-			p, err := planStudy(qoe.StudyPopAB, qoe.ScaleQuick, 1, workers, perJob)
-			if err != nil {
-				t.Fatal(err)
+		p, err := planStudy(qoe.StudyPopAB, qoe.ScaleQuick, 1, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := 0
+		for _, j := range p.Jobs {
+			if j.Lo != lo || j.Hi <= j.Lo {
+				t.Fatalf("workers=%d: job %s breaks contiguity at %d", workers, j, lo)
 			}
-			lo := 0
-			for _, j := range p.Jobs {
-				if j.Lo != lo || j.Hi <= j.Lo {
-					t.Fatalf("workers=%d perJob=%d: job %s breaks contiguity at %d", workers, perJob, j, lo)
-				}
-				lo = j.Hi
-			}
-			if lo != total {
-				t.Fatalf("workers=%d perJob=%d: plan covers [0,%d), want [0,%d)", workers, perJob, lo, total)
-			}
+			lo = j.Hi
+		}
+		if lo != total {
+			t.Fatalf("workers=%d: plan covers [0,%d), want [0,%d)", workers, lo, total)
 		}
 	}
-	if _, err := planStudy("pop-sweep", qoe.ScaleQuick, 1, 3, 0); err == nil {
+	if _, err := planStudy("pop-sweep", qoe.ScaleQuick, 1, 3); err == nil {
 		t.Fatal("planned a study outside the shard protocol")
 	}
 }
@@ -454,13 +452,12 @@ func TestPlanGolden(t *testing.T) {
 	for _, tc := range []struct {
 		study   string
 		workers int
-		perJob  int
 	}{
-		{qoe.StudyPopAB, 3, 0},
-		{qoe.StudyPopRating, 2, 24},
-		{qoe.StudyPopAB, 1, 0},
+		{qoe.StudyPopAB, 3},
+		{qoe.StudyPopRating, 2},
+		{qoe.StudyPopAB, 1},
 	} {
-		p, err := planStudy(tc.study, qoe.ScaleQuick, 1, tc.workers, tc.perJob)
+		p, err := planStudy(tc.study, qoe.ScaleQuick, 1, tc.workers)
 		if err != nil {
 			t.Fatal(err)
 		}

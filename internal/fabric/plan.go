@@ -8,9 +8,9 @@ import (
 )
 
 // Plan is the deterministic split of one study into shard-range sub-jobs.
-// It is pure arithmetic over (study, scale, seed, worker count, job size) —
-// no I/O — so the same inputs always render the same plan, which the
-// shard-plan golden pins.
+// It is pure arithmetic over (study, scale, seed, worker count) — no I/O —
+// so the same inputs always render the same plan, which the shard-plan
+// golden pins.
 type Plan struct {
 	Study       string
 	Scale       qoe.Scale
@@ -20,25 +20,21 @@ type Plan struct {
 	Jobs        []qoe.ShardRange
 }
 
-// planStudy splits a study's canonical shard space into jobs of at most
-// shardsPerJob shards each.
-func planStudy(study string, scale qoe.Scale, seed int64, workers, shardsPerJob int) (Plan, error) {
+// planStudy splits a study's canonical shard space into ~4 jobs per worker:
+// fine-grained enough that a lost worker re-runs a sliver of the study,
+// coarse enough that per-job HTTP overhead stays negligible.
+func planStudy(study string, scale qoe.Scale, seed int64, workers int) (Plan, error) {
 	total, err := qoe.StudyShards(study)
 	if err != nil {
 		return Plan{}, err
 	}
-	if shardsPerJob <= 0 {
-		// Default to ~4 jobs per worker: fine-grained enough that a lost
-		// worker re-runs a sliver of the study, coarse enough that per-job
-		// HTTP overhead stays negligible.
-		shardsPerJob = total / (4 * workers)
-		if shardsPerJob < 1 {
-			shardsPerJob = 1
-		}
+	perJob := total / (4 * workers)
+	if perJob < 1 {
+		perJob = 1
 	}
 	p := Plan{Study: study, Scale: scale, Seed: seed, TotalShards: total, Workers: workers}
-	for lo := 0; lo < total; lo += shardsPerJob {
-		hi := lo + shardsPerJob
+	for lo := 0; lo < total; lo += perJob {
+		hi := lo + perJob
 		if hi > total {
 			hi = total
 		}

@@ -48,14 +48,6 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// FinalVC returns the last visual completeness value (0 for an empty trace).
-func (tr *Trace) FinalVC() float64 {
-	if len(tr.Points) == 0 {
-		return 0
-	}
-	return tr.Points[len(tr.Points)-1].VC
-}
-
 // FVC returns the First Visual Change: the first instant the viewport shows
 // anything. Returns 0 and false for a blank trace.
 func FVC(tr *Trace) (time.Duration, bool) {

@@ -6,40 +6,25 @@
 //
 // Each experiment gets a deterministic seed derived from the master seed and
 // its name (core.DeriveSeed: FNV over the name XOR the master seed, the same
-// idiom the testbed uses for per-condition recording seeds), and renders
-// into its own buffer, so the batch output is byte-identical whether the
-// experiments run sequentially or in parallel.
+// idiom the testbed uses for per-condition recording seeds), so every result
+// is identical whether the experiments run sequentially or in parallel.
 //
-// RunContext is the primary entry point: it honors context cancellation
-// through the prewarm, the worker pool, and (via the Experiment interface)
-// each experiment's own execution, and it streams completed results to
-// caller hooks in input order — the engine beneath pkg/qoe's streaming
-// Session API. Run remains as a deprecated batch-only shim.
+// RunContext honors context cancellation through the prewarm, the worker
+// pool, and (via the Experiment interface) each experiment's own execution,
+// and it streams completed results to caller hooks in input order — the
+// engine beneath pkg/qoe's streaming Session API, whose sinks own every
+// output encoding.
 package runner
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/simnet"
-)
-
-// Format selects the encoding of every experiment's output.
-type Format string
-
-// The three encodings every experiments.Result supports, plus None for
-// callers that consume results through Hooks and need no pre-rendered bytes.
-const (
-	Text Format = "text"
-	CSV  Format = "csv"
-	JSON Format = "json"
-	None Format = "none"
 )
 
 // Options configures a batch run.
@@ -50,9 +35,6 @@ type Options struct {
 	// Zero resolves through core.DefaultParallelism (the single shared
 	// worker default); 1 runs sequentially.
 	Parallel int
-	// Format selects text (default), csv, or json output, or none to skip
-	// encoding entirely.
-	Format Format
 	// Population, when non-nil, is handed to every experiment so the
 	// canonical pop-* engine calls can run out of process (the distributed
 	// study fabric). Nil keeps them in process.
@@ -64,25 +46,14 @@ type Options struct {
 
 // ExperimentReport is the outcome of one experiment in a batch.
 type ExperimentReport struct {
-	Name   string
-	Seed   int64 // the derived per-experiment seed
-	Output []byte
-	// Duration is the value the text framing line renders. It is pinned to
-	// zero: the original runner's deferred stopwatch never reached the
-	// returned copy, so the framing has always printed "0s" — and that
-	// accident is what makes qoebench's stdout byte-identical across runs
-	// and parallelism settings, a contract goldens and the streaming
-	// adapters now rely on. Wall-clock accounting lives in Report.Prewarm /
-	// Report.Total (and the stderr summary), where nondeterminism is
-	// expected.
-	Duration time.Duration
-	Err      error
+	Name string
+	Seed int64 // the derived per-experiment seed
+	Err  error
 }
 
 // Report is the outcome of a whole batch.
 type Report struct {
 	Results []ExperimentReport // in the order the experiments were given
-	Format  Format             // the format the outputs were encoded in
 	Cache   core.CacheStats    // shared-testbed cache counters after the run
 	// Conditions is the size of the merged prewarm plan:
 	// sites × merged networks × merged protocols.
@@ -99,37 +70,6 @@ func (r Report) Err() error {
 		}
 	}
 	return nil
-}
-
-// WriteOutputs concatenates every experiment's output to w. In text format
-// each output is framed by a qoebench-style timing line; for csv/json no
-// framing is emitted, so a single experiment's redirected output parses as
-// one document. A multi-experiment batch still concatenates one document per
-// experiment (distinct schemas per experiment rule out a single table) —
-// redirect machine formats one experiment at a time.
-func (r Report) WriteOutputs(w io.Writer) error {
-	for _, res := range r.Results {
-		if res.Err != nil {
-			return fmt.Errorf("%s: %w", res.Name, res.Err)
-		}
-		if _, err := w.Write(res.Output); err != nil {
-			return err
-		}
-		if r.Format != Text && r.Format != "" {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "\n[%s done in %v]\n\n", res.Name, res.Duration.Round(time.Millisecond)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary is the one-line batch accounting printed after qoebench all.
-func (r Report) Summary() string {
-	return fmt.Sprintf("[%d experiments in %v; prewarm %v over %d conditions; cache: %d recorded, %d hits]",
-		len(r.Results), r.Total.Round(time.Millisecond), r.Prewarm.Round(time.Millisecond),
-		r.Conditions, r.Cache.Records, r.Cache.Hits)
 }
 
 // MergePlan unions the condition grids declared by the experiments:
@@ -210,8 +150,7 @@ func RunContext(ctx context.Context, exps []experiments.Experiment, opts Options
 	start := time.Now()
 	tb := core.NewTestbed(opts.Scale, opts.Seed)
 
-	rep := Report{Format: opts.Format}
-	rep.Results = make([]ExperimentReport, len(exps))
+	rep := Report{Results: make([]ExperimentReport, len(exps))}
 	nets, prots := MergePlan(exps)
 	rep.Conditions = len(tb.Scale.Sites) * len(nets) * len(prots)
 	progress := func(p Progress) {
@@ -310,29 +249,13 @@ func RunContext(ctx context.Context, exps []experiments.Experiment, opts Options
 	return rep
 }
 
-// runOne executes a single experiment with its derived seed and encodes the
-// result in the requested format (skipped for None). It leaves
-// out.Duration at zero — see the field comment.
+// runOne executes a single experiment with its derived seed.
 func runOne(ctx context.Context, tb *core.Testbed, e experiments.Experiment, opts Options) (ExperimentReport, experiments.Result) {
 	out := ExperimentReport{Name: e.Name(), Seed: core.DeriveSeed(opts.Seed, e.Name())}
-
 	res, err := e.Run(ctx, tb, experiments.Options{Scale: opts.Scale, Seed: out.Seed, Population: opts.Population, Adaptive: opts.Adaptive})
 	if err != nil {
 		out.Err = err
 		return out, nil
 	}
-	var buf bytes.Buffer
-	switch opts.Format {
-	case CSV:
-		out.Err = res.CSV(&buf)
-	case JSON:
-		out.Err = res.JSON(&buf)
-	case Text, "":
-		res.Render(&buf)
-	case None:
-	default:
-		out.Err = fmt.Errorf("unknown format %q", opts.Format)
-	}
-	out.Output = buf.Bytes()
 	return out, res
 }

@@ -14,18 +14,24 @@ func tinyScale() core.Scale {
 	return core.Scale{Sites: core.QuickScale().Sites[:2], Reps: 2}
 }
 
-// outputs maps experiment name to its rendered bytes, failing on any
-// per-experiment error.
-func outputs(t *testing.T, rep Report) map[string]string {
+// outputs runs the batch and maps experiment name to its rendered text,
+// failing on any per-experiment error.
+func outputs(t *testing.T, exps []experiments.Experiment, opts Options) (Report, map[string]string) {
 	t.Helper()
+	out := map[string]string{}
+	rep := RunContext(context.Background(), exps, opts, Hooks{
+		Result: func(_ int, r ExperimentReport, res experiments.Result) {
+			if res != nil {
+				var buf bytes.Buffer
+				res.Render(&buf)
+				out[r.Name] = buf.String()
+			}
+		},
+	})
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]string{}
-	for _, res := range rep.Results {
-		out[res.Name] = string(res.Output)
-	}
-	return out
+	return rep, out
 }
 
 // TestParallelMatchesSequential: the whole batch must render byte-identically
@@ -35,11 +41,11 @@ func outputs(t *testing.T, rep Report) map[string]string {
 func TestParallelMatchesSequential(t *testing.T) {
 	exps := experiments.All()
 	opts := Options{Scale: tinyScale(), Seed: 77, Parallel: 1}
-	seq := outputs(t, RunContext(context.Background(), exps, opts, Hooks{}))
+	_, seq := outputs(t, exps, opts)
 
 	opts.Parallel = 8
-	par := outputs(t, RunContext(context.Background(), exps, opts, Hooks{}))
-	rerun := outputs(t, RunContext(context.Background(), exps, opts, Hooks{}))
+	_, par := outputs(t, exps, opts)
+	_, rerun := outputs(t, exps, opts)
 
 	if len(seq) != len(exps) {
 		t.Fatalf("results = %d, want %d", len(seq), len(exps))
@@ -113,31 +119,12 @@ func TestMergePlan(t *testing.T) {
 	}
 }
 
-// TestAllFormats: every registered experiment must encode as CSV and JSON
-// through the runner (the uniform -format contract of cmd/qoebench).
-func TestAllFormats(t *testing.T) {
-	for _, format := range []Format{CSV, JSON} {
-		rep := RunContext(context.Background(), experiments.All(), Options{Scale: tinyScale(), Seed: 3, Format: format}, Hooks{})
-		if err := rep.Err(); err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		for _, res := range rep.Results {
-			if len(res.Output) == 0 {
-				t.Errorf("%s: %s produced no output", format, res.Name)
-			}
-		}
-	}
-}
-
 // TestDerivedSeedsDiffer: experiments in one batch must not share a seed,
 // and an experiment's output must not depend on which other experiments run
 // alongside it.
 func TestDerivedSeedsDiffer(t *testing.T) {
 	exps := experiments.All()
-	rep := RunContext(context.Background(), exps, Options{Scale: tinyScale(), Seed: 5}, Hooks{})
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
+	rep, batch := outputs(t, exps, Options{Scale: tinyScale(), Seed: 5})
 	seeds := map[int64]string{}
 	for _, res := range rep.Results {
 		if prev, dup := seeds[res.Seed]; dup {
@@ -150,17 +137,8 @@ func TestDerivedSeedsDiffer(t *testing.T) {
 	}
 	// fig5 alone matches fig5 within the batch.
 	fig5, _ := experiments.Lookup("fig5")
-	solo := RunContext(context.Background(), []experiments.Experiment{fig5}, Options{Scale: tinyScale(), Seed: 5}, Hooks{})
-	if err := solo.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var inBatch []byte
-	for _, res := range rep.Results {
-		if res.Name == "fig5" {
-			inBatch = res.Output
-		}
-	}
-	if !bytes.Equal(solo.Results[0].Output, inBatch) {
+	_, solo := outputs(t, []experiments.Experiment{fig5}, Options{Scale: tinyScale(), Seed: 5})
+	if solo["fig5"] == "" || solo["fig5"] != batch["fig5"] {
 		t.Fatal("fig5 output depends on the batch composition")
 	}
 }
@@ -172,7 +150,7 @@ func TestRunContextHooksOrdered(t *testing.T) {
 	exps := experiments.All()
 	var order []string
 	var progressed int
-	rep := RunContext(context.Background(), exps, Options{Scale: tinyScale(), Seed: 2, Parallel: 8, Format: None},
+	rep := RunContext(context.Background(), exps, Options{Scale: tinyScale(), Seed: 2, Parallel: 8},
 		Hooks{
 			Progress: func(p Progress) {
 				if p.Stage == "experiment" && p.Experiment != "" {
@@ -254,18 +232,5 @@ func TestRunContextCanceledDuringPrewarm(t *testing.T) {
 	}
 	if err := rep.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("report error = %v", err)
-	}
-}
-
-// TestReportSummary: the summary line carries the cache accounting.
-func TestReportSummary(t *testing.T) {
-	table1, _ := experiments.Lookup("table1")
-	rep := RunContext(context.Background(), []experiments.Experiment{table1}, Options{Scale: tinyScale(), Seed: 1}, Hooks{})
-	var buf bytes.Buffer
-	if err := rep.WriteOutputs(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 || rep.Summary() == "" {
-		t.Fatal("empty outputs or summary")
 	}
 }

@@ -112,32 +112,3 @@ func TestLinkDrainAtRunUntilDeadline(t *testing.T) {
 		t.Fatalf("delivered = %d, want 2", delivered)
 	}
 }
-
-// TestPendingCounter pins the O(1) Pending counter against
-// schedule/cancel/fire transitions.
-func TestPendingCounter(t *testing.T) {
-	s := New(1)
-	a := s.Schedule(time.Millisecond, func() {})
-	b := s.Schedule(2*time.Millisecond, func() {})
-	s.Schedule(3*time.Millisecond, func() {})
-	if got := s.Pending(); got != 3 {
-		t.Fatalf("Pending = %d, want 3", got)
-	}
-	b.Cancel()
-	b.Cancel() // double-cancel must not double-count
-	if got := s.Pending(); got != 2 {
-		t.Fatalf("Pending after cancel = %d, want 2", got)
-	}
-	s.RunFor(time.Millisecond)
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending after firing one = %d, want 1", got)
-	}
-	a.Cancel() // already fired: no-op
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending after stale cancel = %d, want 1", got)
-	}
-	s.Run()
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("Pending after drain = %d, want 0", got)
-	}
-}

@@ -22,6 +22,13 @@ func (c NetworkConfig) String() string {
 		c.MinRTT, c.LossRate*100, c.QueueDelay)
 }
 
+// BDPBytes returns the bandwidth-delay product of the downlink, the quantity
+// the paper sizes the tuned TCP buffers with ("we enlarge the send and
+// receive buffers according to the bandwidth-delay product").
+func (c NetworkConfig) BDPBytes() int {
+	return int(float64(c.DownlinkBps) / 8 * c.MinRTT.Seconds())
+}
+
 // Table 2 of the paper, verbatim. DSL and LTE are German median fixed/mobile
 // access; DA2GC and MSS are the two "bad" in-flight WiFi networks from Rula
 // et al. (air-to-ground cellular and satellite).
@@ -103,11 +110,4 @@ func NewPath(sim *Simulator, cfg NetworkConfig, deliverUp, deliverDown func(Fram
 	up.Deliver = deliverUp
 	down.Deliver = deliverDown
 	return &Path{Up: up, Down: down, Cfg: cfg}
-}
-
-// BDPBytes returns the bandwidth-delay product of the downlink, the quantity
-// the paper sizes the tuned TCP buffers with ("we enlarge the send and
-// receive buffers according to the bandwidth-delay product").
-func (p *Path) BDPBytes() int {
-	return int(float64(p.Cfg.DownlinkBps) / 8 * p.Cfg.MinRTT.Seconds())
 }

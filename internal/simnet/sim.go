@@ -28,7 +28,6 @@ import (
 // so that a stale Timer handle (kept after the event fired or was cancelled)
 // is inert rather than affecting an unrelated recycled event.
 type timerNode struct {
-	sim     *Simulator
 	at      time.Duration
 	seq     uint64
 	fn      func(any)
@@ -52,7 +51,6 @@ func (t Timer) Cancel() {
 		t.n.pending = false
 		t.n.fn = nil
 		t.n.arg = nil
-		t.n.sim.live--
 	}
 }
 
@@ -80,7 +78,6 @@ type Simulator struct {
 	free   []*timerNode
 	seq    uint64
 	curSeq uint64 // seq of the event currently executing
-	live   int    // pending (non-cancelled) events, kept in O(1)
 	rng    *rand.Rand
 
 	// Processed counts events executed, for instrumentation and benchmarks.
@@ -118,12 +115,6 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) Timer {
 	return s.ScheduleArg(delay, callClosure, fn)
 }
 
-// ScheduleAt runs fn at absolute virtual time at. Times in the past are
-// clamped to the current instant.
-func (s *Simulator) ScheduleAt(at time.Duration, fn func()) Timer {
-	return s.ScheduleArgAt(at, callClosure, fn)
-}
-
 // callClosure adapts the closure-based Schedule API to the (fn, arg) core.
 func callClosure(arg any) { arg.(func())() }
 
@@ -149,7 +140,6 @@ func (s *Simulator) ScheduleArgAt(at time.Duration, fn func(any), arg any) Timer
 		// allocation per 32 events, not one per event.
 		slab := make([]timerNode, 32)
 		for i := range slab {
-			slab[i].sim = s
 			s.free = append(s.free, &slab[i])
 		}
 	}
@@ -159,7 +149,6 @@ func (s *Simulator) ScheduleArgAt(at time.Duration, fn func(any), arg any) Timer
 	s.free = s.free[:ln-1]
 	n.at, n.seq, n.fn, n.arg, n.pending = at, s.seq, fn, arg, true
 	s.seq++
-	s.live++
 	s.heapPush(n)
 	return Timer{n: n, gen: n.gen}
 }
@@ -234,7 +223,6 @@ func (s *Simulator) step() bool {
 		}
 		s.now = n.at
 		s.curSeq = n.seq
-		s.live--
 		fn, arg := n.fn, n.arg
 		s.release(n) // before the callback, so it can reuse the node
 		s.Processed++
@@ -280,13 +268,6 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 	// inside this call (e.g. a frame departing precisely at the deadline).
 	s.curSeq = s.seq
 }
-
-// RunFor runs for d of virtual time starting now.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
-
-// Pending returns the number of live (non-cancelled) queued events. The
-// count is maintained on schedule/cancel/fire, so this is O(1).
-func (s *Simulator) Pending() int { return s.live }
 
 // allocSeq consumes one sequence number without scheduling an event. The
 // link layer uses this to stamp each frame's queue-departure with the exact

@@ -81,8 +81,9 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	if s.Now() != time.Second {
 		t.Fatalf("clock should advance to deadline, got %v", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
+	s.Run()
+	if count != 2 || s.Now() != time.Hour {
+		t.Fatalf("future event: count = %d at %v, want 2 at 1h", count, s.Now())
 	}
 }
 
@@ -285,10 +286,8 @@ func TestPathRTT(t *testing.T) {
 }
 
 func TestPathBDP(t *testing.T) {
-	s := New(1)
-	p := NewPath(s, LTE, func(Frame) {}, func(Frame) {})
 	// 10.5 Mbps * 74 ms / 8 = 97125 bytes.
-	if got := p.BDPBytes(); got != 97125 {
+	if got := LTE.BDPBytes(); got != 97125 {
 		t.Fatalf("BDP = %d, want 97125", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the statistical toolkit used by the study analysis:
 // descriptive statistics, Student-t / F / normal distributions, confidence
-// intervals, one-way ANOVA, Pearson and Spearman correlation, and the
+// intervals, one-way ANOVA, Pearson correlation, and the
 // Jarque–Bera normality test.
 //
 // The paper applies exactly this toolkit: 99% confidence intervals on vote
@@ -170,29 +170,4 @@ func ExcessKurtosis(xs []float64) float64 {
 	}
 	g2 := m4/(m2*m2) - 3
 	return ((n+1)*g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
-}
-
-// Ranks assigns fractional ranks (1-based, ties averaged) to xs, as used by
-// Spearman correlation.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank across the tie group [i, j].
-		avg := (float64(i) + float64(j)) / 2.0
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg + 1
-		}
-		i = j + 1
-	}
-	return ranks
 }

@@ -117,8 +117,9 @@ func OneWayANOVA(groups ...[]float64) (ANOVAResult, error) {
 }
 
 // Pearson returns Pearson's product-moment correlation coefficient between
-// xs and ys. The paper chooses Pearson over Spearman because it measures how
-// well the *linearity* of a technical metric reflects user votes (Fig. 6).
+// xs and ys. The paper chooses Pearson over a rank correlation because it
+// measures how well the *linearity* of a technical metric reflects user
+// votes (Fig. 6).
 func Pearson(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
@@ -139,15 +140,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: zero variance input")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns Spearman's rank correlation, Pearson over fractional
-// ranks. Provided for completeness (the paper discusses but does not use it).
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
 }
 
 // JarqueBera tests the null hypothesis that xs is normally distributed.

@@ -81,16 +81,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestNormalCDFSymmetry(t *testing.T) {
 	for _, z := range []float64{0, 0.5, 1, 1.96, 2.5758, 3} {
 		if got := NormalCDF(z) + NormalCDF(-z); !almostEq(got, 1, 1e-12) {
@@ -291,18 +281,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 	if _, err := Pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
 		t.Fatal("zero variance should error")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 4, 9, 16, 25} // nonlinear but monotone
-	r, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Fatalf("monotone Spearman = %v, want 1", r)
 	}
 }
 

@@ -112,9 +112,6 @@ func Open(dir string, log *slog.Logger) (*Store, error) {
 	return s, nil
 }
 
-// Dir reports the spill directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validID accepts exactly the filename-safe alphabet the serving layer's
 // hex run IDs live in (plus - and _ for forward compatibility).
 func validID(id string) bool {

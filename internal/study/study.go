@@ -164,9 +164,6 @@ func PlanFor(g Group) SessionPlan {
 	}
 }
 
-// RatingVideos returns the total rating stimuli for a group.
-func (p SessionPlan) RatingVideos() int { return p.RatingWork + p.RatingFree + p.RatingPlane }
-
 // Participation fixes the pre-filter subject counts of Table 3.
 type Participation struct {
 	AB     int

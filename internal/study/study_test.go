@@ -61,16 +61,17 @@ func TestPairsFigure4(t *testing.T) {
 }
 
 func TestSessionPlansSection41(t *testing.T) {
+	ratings := func(p SessionPlan) int { return p.RatingWork + p.RatingFree + p.RatingPlane }
 	lab := PlanFor(Lab)
-	if lab.ABVideos != 28 || lab.RatingVideos() != 27 {
+	if lab.ABVideos != 28 || ratings(lab) != 27 {
 		t.Fatalf("lab plan: %+v", lab)
 	}
 	mw := PlanFor(Microworker)
-	if mw.ABVideos != 26 || mw.RatingVideos() != 27 || mw.PayoutUSD != 0.75 {
+	if mw.ABVideos != 26 || ratings(mw) != 27 || mw.PayoutUSD != 0.75 {
 		t.Fatalf("µWorker plan: %+v", mw)
 	}
 	inet := PlanFor(Internet)
-	if inet.ABVideos != 14 || inet.RatingVideos() != 15 {
+	if inet.ABVideos != 14 || ratings(inet) != 15 {
 		t.Fatalf("internet plan: %+v", inet)
 	}
 	if inet.RatingPlane != 3 || mw.RatingPlane != 5 {

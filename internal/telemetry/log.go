@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync"
 )
 
 // Structured logging for the fleet. cmd/qoed builds one slog.Logger from
@@ -43,32 +42,3 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 // Discard is a logger that drops every record — the default for library
 // configs whose caller provided no Logger.
 var Discard = slog.New(slog.DiscardHandler)
-
-// OnceMap suppresses repeat log events for the same key (worker health flaps
-// would otherwise spam one line per retry attempt). First returns true only
-// the first time key is seen since the last Reset(key).
-type OnceMap struct {
-	mu   sync.Mutex
-	seen map[string]struct{}
-}
-
-// NewOnceMap tracks level-triggered log events by key.
-func NewOnceMap() *OnceMap { return &OnceMap{seen: map[string]struct{}{}} }
-
-// First reports whether key is newly set (true exactly once until Reset).
-func (o *OnceMap) First(key string) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, ok := o.seen[key]; ok {
-		return false
-	}
-	o.seen[key] = struct{}{}
-	return true
-}
-
-// Reset clears key so the next First(key) fires again.
-func (o *OnceMap) Reset(key string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	delete(o.seen, key)
-}

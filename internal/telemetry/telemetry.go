@@ -441,9 +441,11 @@ func FormatTraceparent(traceID string, parent uint64) string {
 }
 
 // ParseTraceparent parses a propagation header value; ok is false for
-// anything malformed (the receiver then derives its own trace ID).
+// anything malformed (the receiver then derives its own trace ID). The
+// trace-flags field is not interpreted, but like every other field it must
+// be lowercase hex, as W3C Trace Context requires.
 func ParseTraceparent(h string) (traceID string, parent uint64, ok bool) {
-	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
+	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' || !isHex(h[53]) || !isHex(h[54]) {
 		return "", 0, false
 	}
 	traceID = h[3:35]

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -174,11 +175,49 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"00-" + strings.Repeat("ZZ", 16) + "-0000000000000001-01",
 		"00-" + id + "-00000000000000ZZ-01",
 		"00-" + id + "_0000000000000001-01",
+		"00-" + id + "-0000000000000001-zz", // flags must be lowercase hex
+		"00-" + id + "-0000000000000001-0A",
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
 			t.Fatalf("ParseTraceparent(%q) accepted", bad)
 		}
 	}
+}
+
+// validTraceparent is the header grammar ParseTraceparent accepts, written
+// independently of the parser: version 00 and lowercase hex fields.
+var validTraceparent = regexp.MustCompile(`^00-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}$`)
+
+// FuzzParseTraceparent: the parser reads a header off the shard wire, so it
+// must never panic, and whatever it accepts must be a well-formed header
+// whose trace ID and parent re-format to the same bytes.
+func FuzzParseTraceparent(f *testing.F) {
+	// The run ID of {pop-ab, quick, seed 1}: serve's sha256 of the canonical
+	// tuple key "v1|scale=quick|seed=1|experiments=pop-ab".
+	const runID = "d6ce7dab035706b011e104b7f4ee0b8e"
+	f.Add(FormatTraceparent(runID, 0x2a))
+	f.Add(FormatTraceparent(runID, 0xffffffffffffffff))
+	f.Add("00-" + runID + "-000000000000002a-zz")
+	f.Fuzz(func(t *testing.T, h string) {
+		id, parent, ok := ParseTraceparent(h)
+		if !ok {
+			if id != "" || parent != 0 {
+				t.Fatalf("rejected %q but returned id=%q parent=%x", h, id, parent)
+			}
+			return
+		}
+		if !validTraceparent.MatchString(h) {
+			t.Fatalf("accepted malformed header %q", h)
+		}
+		// Only a 32-lowercase-hex trace ID formats into a valid header.
+		got := FormatTraceparent(id, parent)
+		if !validTraceparent.MatchString(got) {
+			t.Fatalf("trace ID %q is not 32 lowercase hex", id)
+		}
+		if got[:52] != h[:52] {
+			t.Fatalf("re-format %q does not match %q", got, h)
+		}
+	})
 }
 
 func TestTraceContextFlow(t *testing.T) {
@@ -383,17 +422,6 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	if total != 800 {
 		t.Fatalf("total spans %d, want 800", total)
-	}
-}
-
-func TestOnceMap(t *testing.T) {
-	o := NewOnceMap()
-	if !o.First("w1") || o.First("w1") {
-		t.Fatal("First not once")
-	}
-	o.Reset("w1")
-	if !o.First("w1") {
-		t.Fatal("Reset did not rearm")
 	}
 }
 

@@ -111,11 +111,6 @@ func SelectTypical(recs []Recording) (Recording, error) {
 // under the same network with different protocol stacks.
 type ABVideo struct {
 	Left, Right Recording
-	// Control variants for rule R6.
-	IsControl bool
-	// For delayed controls, which side is objectively faster; for
-	// same-video controls both sides are identical.
-	SameBothSides bool
 }
 
 // NewABVideo pairs two recordings; it enforces the study design invariant
@@ -126,39 +121,6 @@ func NewABVideo(left, right Recording) (ABVideo, error) {
 			left.Site, left.Network, right.Site, right.Network)
 	}
 	return ABVideo{Left: left, Right: right}, nil
-}
-
-// DelayedControl builds an R6 control video: one side is the same recording
-// significantly delayed, so any attentive participant can name the faster
-// side.
-func DelayedControl(rec Recording, delay time.Duration, delayLeft bool) ABVideo {
-	delayed := rec
-	delayed.Trace = shiftTrace(rec.Trace, delay)
-	delayed.Report = metrics.Compute(&delayed.Trace)
-	v := ABVideo{IsControl: true}
-	if delayLeft {
-		v.Left, v.Right = delayed, rec
-	} else {
-		v.Left, v.Right = rec, delayed
-	}
-	return v
-}
-
-// IdenticalControl builds the R6 control with the same video on both sides;
-// the only valid answers are "no difference" or a low-confidence guess
-// (footnote 3 of the paper).
-func IdenticalControl(rec Recording) ABVideo {
-	return ABVideo{Left: rec, Right: rec, IsControl: true, SameBothSides: true}
-}
-
-// shiftTrace moves every visual event later by d.
-func shiftTrace(tr metrics.Trace, d time.Duration) metrics.Trace {
-	out := metrics.Trace{PLT: tr.PLT + d, Completed: tr.Completed}
-	out.Points = make([]metrics.Point, len(tr.Points))
-	for i, p := range tr.Points {
-		out.Points[i] = metrics.Point{T: p.T + d, VC: p.VC}
-	}
-	return out
 }
 
 // Duration returns how long the (composed) video runs: the slower side's

@@ -101,33 +101,6 @@ func TestNewABVideoValidation(t *testing.T) {
 	}
 }
 
-func TestDelayedControl(t *testing.T) {
-	recs := record(t, 1)
-	v := DelayedControl(recs[0], 2*time.Second, true)
-	if !v.IsControl || v.SameBothSides {
-		t.Fatalf("control flags wrong: %+v", v)
-	}
-	// The delayed left side must be measurably slower.
-	if v.Left.Report.SI <= v.Right.Report.SI+time.Second {
-		t.Fatalf("delayed side SI %v should exceed original %v by ~2s",
-			v.Left.Report.SI, v.Right.Report.SI)
-	}
-	if err := v.Left.Trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIdenticalControl(t *testing.T) {
-	recs := record(t, 1)
-	v := IdenticalControl(recs[0])
-	if !v.IsControl || !v.SameBothSides {
-		t.Fatal("identical control flags wrong")
-	}
-	if v.Left.Report != v.Right.Report {
-		t.Fatal("sides must be identical")
-	}
-}
-
 func TestABVideoDuration(t *testing.T) {
 	recs := record(t, 2)
 	v, _ := NewABVideo(recs[0], recs[1])

@@ -80,18 +80,3 @@ func ByName(name string) *Site {
 	}
 	return nil
 }
-
-// ControlFast is the very quickly rendering control stimulus for filter rule
-// R6 in the rating study.
-func ControlFast() *Site {
-	return generate(profile{
-		name: "control-fast.test", objects: 5, totalKB: 60, hosts: 1, heroFrac: 0.5,
-	}, CorpusSeed)
-}
-
-// ControlSlow is the very slow control stimulus for filter rule R6.
-func ControlSlow() *Site {
-	return generate(profile{
-		name: "control-slow.test", objects: 170, totalKB: 7000, hosts: 30, heroFrac: 0.2,
-	}, CorpusSeed)
-}

@@ -265,7 +265,6 @@ func (s *Session) Run(ctx context.Context, sink Sink) (Summary, error) {
 		Scale:      s.scale,
 		Seed:       s.seed,
 		Parallel:   s.parallel,
-		Format:     runner.None,
 		Population: s.population,
 		Adaptive:   s.adaptive,
 	}, runner.Hooks{
@@ -277,7 +276,7 @@ func (s *Session) Run(ctx context.Context, sink Sink) (Summary, error) {
 		Result: func(i int, r runner.ExperimentReport, res experiments.Result) {
 			if resultSink != nil {
 				emit(func() error {
-					return resultSink.Result(ResultEvent{Experiment: r.Name, Seed: r.Seed, Duration: r.Duration, Err: r.Err, Doc: res})
+					return resultSink.Result(ResultEvent{Experiment: r.Name, Seed: r.Seed, Err: r.Err, Doc: res})
 				})
 			}
 			if r.Err != nil || res == nil || sinkErr != nil {

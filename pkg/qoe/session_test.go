@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,6 +102,45 @@ func TestAdapterSinksMatchLegacyRunner(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%s: adapter sink output differs from the pre-SDK output\n got %d bytes\nwant %d bytes", tc.format, got.Len(), len(want))
+		}
+	}
+}
+
+// formatSizes encodes every result with both whole-document sinks and
+// records each document's size under "format/experiment".
+type formatSizes struct {
+	discardSink
+	sizes map[string]int
+}
+
+func (s *formatSizes) Result(ev ResultEvent) error {
+	for format, sink := range map[string]func(io.Writer) Sink{"csv": CSVSink, "json": JSONSink} {
+		var buf bytes.Buffer
+		if err := sink(&buf).(ResultSink).Result(ev); err != nil {
+			return fmt.Errorf("%s: %w", format, err)
+		}
+		s.sizes[format+"/"+ev.Experiment] = buf.Len()
+	}
+	return nil
+}
+
+// TestAllFormats: every registered experiment must encode as CSV and JSON
+// through the adapter sinks (the uniform -format contract of cmd/qoebench).
+func TestAllFormats(t *testing.T) {
+	sess, err := NewSession(WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.scale = core.Scale{Sites: core.QuickScale().Sites[:2], Reps: 2}
+	sink := &formatSizes{sizes: map[string]int{}}
+	if _, err := sess.Run(context.Background(), sink); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sess.Experiments() {
+		for _, format := range []string{"csv", "json"} {
+			if sink.sizes[format+"/"+name] == 0 {
+				t.Errorf("%s: %s produced no output", format, name)
+			}
 		}
 	}
 }

@@ -71,10 +71,14 @@ type Document interface {
 }
 
 // ResultEvent carries one experiment's complete outcome, delivered strictly
-// in selection order. Doc is nil when Err is non-nil. Duration is the
-// deterministic per-experiment duration the classic text framing renders
-// (pinned to zero so text output is byte-identical across runs and
-// parallelism — see internal/runner.ExperimentReport).
+// in selection order. Doc is nil when Err is non-nil. Duration is the value
+// the classic text framing line renders. A Session leaves it at zero: the
+// original runner's deferred stopwatch never reached the returned copy, so
+// the framing has always printed "0s" — and that accident is what makes
+// qoebench's stdout byte-identical across runs and parallelism settings, a
+// contract the goldens and the streaming adapters rely on. Wall-clock
+// accounting lives in Summary.Prewarm/Total, where nondeterminism is
+// expected.
 type ResultEvent struct {
 	Experiment string
 	Seed       int64
