@@ -157,27 +157,11 @@ type Result struct {
 // VotesSaved returns the budget the run did not have to simulate.
 func (r Result) VotesSaved() int64 { return r.VotesBudget - r.Votes }
 
-// ShardRunner computes one cell's shard-range grant. The local runner calls
-// population.RunABRange in process; the distributed fabric ships the same
-// call to its worker pool. Implementations must honor the absolute-shard
-// contract: the returned states are the canonical bytes of those shards
-// regardless of where they ran.
-type ShardRunner interface {
-	RunShards(ctx context.Context, cell int, r population.ShardRange) ([]population.ABShardState, error)
-}
-
-// localRunner executes grants in process.
-type localRunner struct{ specs []CellSpec }
-
-func (l localRunner) RunShards(ctx context.Context, cell int, r population.ShardRange) ([]population.ABShardState, error) {
-	s := l.specs[cell]
-	return population.RunABRange(ctx, s.Cells, s.Config, r)
-}
-
-// Run executes the adaptive study in process.
-func Run(ctx context.Context, specs []CellSpec, cfg Config) (Result, error) {
-	return RunWith(ctx, specs, cfg, nil)
-}
+// Grant computes one cell's shard-range grant; the distributed fabric
+// supplies one that ships the call to its worker pool. A Grant must honor
+// the absolute-shard contract: the returned states are the canonical bytes
+// of those shards regardless of where they ran.
+type Grant func(ctx context.Context, cell int, r population.ShardRange) ([]population.ABShardState, error)
 
 // cellState is the engine's per-cell round-boundary state.
 type cellState struct {
@@ -192,11 +176,11 @@ type cellState struct {
 	budget        int64 // pre-filter vote budget of the full run
 }
 
-// RunWith executes the adaptive study, dispatching shard grants through
-// runner (nil runs in process). Decisions derive only from round-boundary
-// accumulator states, so the result is identical for any runner that honors
-// the absolute-shard contract.
-func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunner) (Result, error) {
+// Run executes the adaptive study, dispatching shard grants through grant;
+// a nil grant runs them in process with population.RunABRange. Decisions
+// derive only from round-boundary accumulator states, so the result is
+// identical for any grant that honors the absolute-shard contract.
+func Run(ctx context.Context, specs []CellSpec, cfg Config, grant Grant) (Result, error) {
 	if len(specs) == 0 {
 		return Result{}, fmt.Errorf("adaptive: no cells")
 	}
@@ -241,8 +225,10 @@ func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunn
 			budget:        int64(s.Config.Participants) * votesPer,
 		}
 	}
-	if runner == nil {
-		runner = localRunner{specs: run}
+	if grant == nil {
+		grant = func(ctx context.Context, cell int, r population.ShardRange) ([]population.ABShardState, error) {
+			return population.RunABRange(ctx, run[cell].Cells, run[cell].Config, r)
+		}
 	}
 
 	// Spans stay at round/grant granularity — the engine's own decision
@@ -258,7 +244,7 @@ func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunn
 		rsp := tc.Start("adaptive_round")
 		rsp.Attr("round", strconv.Itoa(rounds))
 		// Execute the round's grants in cell order. Each grant extends the
-		// cell's absorbed prefix; the runner may parallelize internally.
+		// cell's absorbed prefix; the grant may parallelize internally.
 		for ci := range states {
 			st := &states[ci]
 			if grants[ci] == 0 {
@@ -275,7 +261,7 @@ func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunn
 				// spans under this grant.
 				grantCtx = telemetry.NewContext(ctx, telemetry.TraceContext{Tracer: tc.Tracer, TraceID: tc.TraceID, Parent: gsp.ID()})
 			}
-			shardStates, err := runner.RunShards(grantCtx, ci, r)
+			shardStates, err := grant(grantCtx, ci, r)
 			gsp.EndErr(err)
 			if err != nil {
 				rsp.EndErr(err)
@@ -311,7 +297,7 @@ func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunn
 			case st.acc.Done():
 				st.outcome = Exhausted
 			}
-			st.lastInterval(iv)
+			st.noticed = iv
 			if st.outcome != Undecided {
 				st.round = rounds
 			}
@@ -373,10 +359,6 @@ func RunWith(ctx context.Context, specs []CellSpec, cfg Config, runner ShardRunn
 	}
 	return res, nil
 }
-
-// lastInterval remembers the most recent look's interval so the result
-// reports the deciding boundary.
-func (st *cellState) lastInterval(iv stats.Interval) { st.noticed = iv }
 
 // allocate computes the round's shard grants. Round 1 bootstraps MinShards
 // into every cell; later rounds steer RoundShards × cells whole shards to
@@ -469,7 +451,7 @@ func allDecided(states []cellState) bool {
 }
 
 // Counters is one server's adaptive telemetry: runs, rounds, cells stopped
-// early, votes simulated and votes saved. RunWith counts into the Counters
+// early, votes simulated and votes saved. Run counts into the Counters
 // its context carries (NewContext) and nowhere otherwise.
 type Counters struct {
 	runs, rounds, cellsStoppedEarly, votesSimulated, votesSaved *telemetry.Counter
@@ -488,7 +470,7 @@ func NewCounters(r *telemetry.Registry) *Counters {
 
 type countersKey struct{}
 
-// NewContext returns ctx carrying c, the counters RunWith counts into.
+// NewContext returns ctx carrying c, the counters Run counts into.
 func NewContext(ctx context.Context, c *Counters) context.Context {
 	return context.WithValue(ctx, countersKey{}, c)
 }

@@ -43,7 +43,7 @@ func testSpecs(participants int) []CellSpec {
 // decisions well inside the budget, and every reported outcome must be
 // consistent with the deciding interval.
 func TestAdaptiveStopsEarlyAndSavesVotes(t *testing.T) {
-	res, err := Run(context.Background(), testSpecs(8000), Config{})
+	res, err := Run(context.Background(), testSpecs(8000), Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAdaptiveByteIdenticalAcrossWorkers(t *testing.T) {
 	var base Result
 	var baseRepr string
 	for i, w := range workerCounts {
-		res, err := Run(context.Background(), testSpecs(4000), Config{Workers: w})
+		res, err := Run(context.Background(), testSpecs(4000), Config{Workers: w}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestAdaptiveByteIdenticalAcrossWorkers(t *testing.T) {
 // truncation invariant, observed through the engine.
 func TestAdaptiveMatchesTruncatedFullRun(t *testing.T) {
 	specs := testSpecs(4000)
-	res, err := Run(context.Background(), specs, Config{})
+	res, err := Run(context.Background(), specs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAdaptiveMatchesTruncatedFullRun(t *testing.T) {
 // budget and report Exhausted with its fixed-budget point estimate.
 func TestAdaptiveExhaustsDeadOnThresholdCell(t *testing.T) {
 	specs := testSpecs(1200)[2:3] // the subtle cell only
-	first, err := Run(context.Background(), specs, Config{})
+	first, err := Run(context.Background(), specs, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAdaptiveExhaustsDeadOnThresholdCell(t *testing.T) {
 	if share <= 0 || share >= 1 {
 		t.Fatalf("degenerate share %v", share)
 	}
-	res, err := Run(context.Background(), specs, Config{Threshold: share})
+	res, err := Run(context.Background(), specs, Config{Threshold: share}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,29 +175,26 @@ func TestAdaptiveExhaustsDeadOnThresholdCell(t *testing.T) {
 	}
 }
 
-type failingRunner struct{}
-
-func (failingRunner) RunShards(context.Context, int, population.ShardRange) ([]population.ABShardState, error) {
-	return nil, fmt.Errorf("boom")
-}
-
 func TestAdaptiveValidation(t *testing.T) {
-	if _, err := Run(context.Background(), nil, Config{}); err == nil {
+	if _, err := Run(context.Background(), nil, Config{}, nil); err == nil {
 		t.Fatal("empty grid must fail")
 	}
 	bad := testSpecs(1000)[:1]
 	bad[0].Cells = append(bad[0].Cells, bad[0].Cells[0])
-	if _, err := Run(context.Background(), bad, Config{}); err == nil {
+	if _, err := Run(context.Background(), bad, Config{}, nil); err == nil {
 		t.Fatal("multi-cell spec must fail")
 	}
-	if _, err := Run(context.Background(), testSpecs(1000), Config{Alpha: 1.5}); err == nil {
+	if _, err := Run(context.Background(), testSpecs(1000), Config{Alpha: 1.5}, nil); err == nil {
 		t.Fatal("alpha outside (0,1) must fail")
 	}
-	if _, err := Run(context.Background(), testSpecs(1000), Config{Threshold: 2}); err == nil {
+	if _, err := Run(context.Background(), testSpecs(1000), Config{Threshold: 2}, nil); err == nil {
 		t.Fatal("threshold outside (0,1) must fail")
 	}
-	if _, err := RunWith(context.Background(), testSpecs(1000), Config{}, failingRunner{}); err == nil {
-		t.Fatal("runner errors must propagate")
+	failing := func(context.Context, int, population.ShardRange) ([]population.ABShardState, error) {
+		return nil, fmt.Errorf("boom")
+	}
+	if _, err := Run(context.Background(), testSpecs(1000), Config{}, failing); err == nil {
+		t.Fatal("grant errors must propagate")
 	}
 }
 

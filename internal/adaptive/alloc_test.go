@@ -16,14 +16,14 @@ import (
 func adaptiveAllocs(t *testing.T, participants int) float64 {
 	t.Helper()
 	specs := testSpecs(participants)[2:3]
-	probe, err := Run(context.Background(), specs, Config{Workers: 1})
+	probe, err := Run(context.Background(), specs, Config{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noticed := probe.Cells[0].Stats.Noticed()
 	cfg := Config{Workers: 1, Threshold: noticed.Share()}
 	return testing.AllocsPerRun(3, func() {
-		res, err := Run(context.Background(), specs, cfg)
+		res, err := Run(context.Background(), specs, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

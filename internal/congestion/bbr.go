@@ -240,10 +240,6 @@ func (b *BBR) OnAck(now time.Duration, ackedBytes int, rtt time.Duration, bwSamp
 	b.advanceStateMachine(now, bytesInFlight)
 }
 
-// minRTTStale is kept for documentation symmetry; entry into ProbeRTT is
-// handled at the top of OnAck so a fresh sample in the same ack cannot mask
-// a stale estimate.
-
 func (b *BBR) currentRTT(sample time.Duration) time.Duration {
 	if m := b.minRTT(); m > 0 {
 		return m

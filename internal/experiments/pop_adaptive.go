@@ -174,18 +174,6 @@ func (popSweepAdaptiveExp) Run(ctx context.Context, tb *core.Testbed, opts Optio
 	return popSweepAdaptiveRun(ctx, tb, opts)
 }
 
-// backendRunner bridges the engine's ShardRunner seam onto a
-// PopulationBackend (the distributed fabric).
-type backendRunner struct {
-	backend PopulationBackend
-	specs   []adaptive.CellSpec
-}
-
-func (r backendRunner) RunShards(ctx context.Context, cell int, rng population.ShardRange) ([]population.ABShardState, error) {
-	s := r.specs[cell]
-	return r.backend.RunABShardRange(ctx, popSweepAdaptiveName, cell, s.Cells, s.Config, rng)
-}
-
 func popSweepAdaptiveRun(ctx context.Context, tb *core.Testbed, opts Options) (PopSweepAdaptiveResult, error) {
 	specs, err := PopSweepAdaptiveSpecs(tb, opts.Seed)
 	if err != nil {
@@ -209,11 +197,13 @@ func popSweepAdaptiveRun(ctx context.Context, tb *core.Testbed, opts Options) (P
 			acfg.Workers = o.Workers
 		}
 	}
-	var runner adaptive.ShardRunner
-	if opts.Population != nil {
-		runner = backendRunner{backend: opts.Population, specs: specs}
+	var grant adaptive.Grant
+	if b := opts.Population; b != nil {
+		grant = func(ctx context.Context, cell int, r population.ShardRange) ([]population.ABShardState, error) {
+			return b.RunABShardRange(ctx, popSweepAdaptiveName, cell, specs[cell].Cells, specs[cell].Config, r)
+		}
 	}
-	res, err := adaptive.RunWith(ctx, specs, acfg, runner)
+	res, err := adaptive.Run(ctx, specs, acfg, grant)
 	if err != nil {
 		return PopSweepAdaptiveResult{}, err
 	}

@@ -96,7 +96,7 @@ func TestRatingTruncationInvariant(t *testing.T) {
 		if !reflect.DeepEqual(partial, full[:k]) {
 			t.Fatalf("k=%d: truncated run states differ from full run prefix", k)
 		}
-		acc, err := NewRatingAccumulator(cells, cfg)
+		acc, err := newRatingAccumulator(cells, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,5 +166,38 @@ func TestAccumulatorRejectsGaps(t *testing.T) {
 	}
 	if acc.Shards() != 4 {
 		t.Fatalf("absorbed %d shards, want 4", acc.Shards())
+	}
+
+	// A forged state is rejected like a gap: the prefix stays where it was.
+	more, err := RunABRange(context.Background(), cells, cfg, ShardRange{Lo: 4, Hi: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes := acc.Votes()
+	more[1].Kept += 7
+	if err := acc.Absorb(more); err == nil {
+		t.Fatal("absorbing a state with a forged kept count must fail")
+	}
+	if acc.Shards() != 5 || acc.Votes() != votes+more[0].Votes {
+		t.Fatalf("after a rejected state: %d shards, %d votes; want 5 shards, %d votes", acc.Shards(), acc.Votes(), votes+more[0].Votes)
+	}
+
+	// The rating design checks the same counts, with Speed.N as the cell's
+	// vote count.
+	rcells := testRatingCells()
+	rstates, err := RunRatingRange(context.Background(), rcells, cfg, ShardRange{Lo: 0, Hi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	racc, err := newRatingAccumulator(rcells, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rstates[1].Cells[0].Quality.N++
+	if err := racc.Absorb(rstates); err == nil {
+		t.Fatal("absorbing a rating cell whose quality count disagrees must fail")
+	}
+	if racc.Participants() != rstates[0].Funnel.Start {
+		t.Fatalf("rating prefix covers %d participants after a rejected state, want %d", racc.Participants(), rstates[0].Funnel.Start)
 	}
 }

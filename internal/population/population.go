@@ -7,13 +7,15 @@
 //
 // The engine shards the population: shard i draws all of its randomness from
 // core.DeriveSeed(seed, "pop-shard/i"), accumulates its own per-cell
-// aggregates (stats.Welford, stats.StreamHist, stats.Binomial, and a
-// streaming conformance funnel), and the shard aggregates are merged in
-// shard order after all shards finish. Because neither the per-shard vote
-// streams nor the merge order depend on scheduling, a run's result is
-// byte-identical for any worker count — the same contract internal/runner
-// makes across experiments, pushed down to the single-experiment scale the
-// ROADMAP's "millions of users" north star needs.
+// aggregates (stats.Welford, stats.StreamHist and a streaming conformance
+// funnel), and one accumulator folds the shard aggregates in shard order
+// after all shards finish. Because neither the per-shard vote streams nor
+// the fold order depend on scheduling, a run's result is byte-identical for
+// any worker count — the same contract internal/runner makes across
+// experiments, pushed down to the single-experiment scale the ROADMAP's
+// "millions of users" north star needs. Fabric reduces and adaptive grants
+// fold wire states through the same accumulator (accumulate.go), so they
+// are byte-identical to a local run by construction.
 package population
 
 import (
@@ -341,25 +343,26 @@ func newPopWorkers(workers, permLen int) []popWorker {
 
 // abShard holds one shard's private aggregates.
 type abShard struct {
-	cells  []ABCellStats
-	funnel conformance.StreamFunnel
-	kept   int64
-	votes  int64
+	cells []ABCellStats
+	totals
 }
 
 // RunAB simulates the A/B study over the cells. Cancelling ctx aborts the
 // run and returns ctx.Err(); shard aggregates are private until the final
-// merge, so an aborted run leaves no partial state behind.
+// fold, so an aborted run leaves no partial state behind.
 func RunAB(ctx context.Context, cells []ABCell, cfg Config) (ABResult, error) {
-	if len(cells) == 0 {
-		return ABResult{}, fmt.Errorf("population: no A/B cells")
-	}
-	cfg = cfg.withDefaults()
-	shards, err := runABShards(ctx, cells, cfg, 0, cfg.Shards)
+	acc, err := NewABAccumulator(cells, cfg)
 	if err != nil {
 		return ABResult{}, err
 	}
-	return mergeABShards(cells, cfg, shards), nil
+	shards, err := runABShards(ctx, cells, acc.cfg, 0, acc.cfg.Shards)
+	if err != nil {
+		return ABResult{}, err
+	}
+	for i := range shards {
+		acc.absorb(&shards[i])
+	}
+	return acc.Result(), nil
 }
 
 // runABShards computes the private aggregates of shards [first, last) — the
@@ -441,42 +444,28 @@ func runABShards(ctx context.Context, cells []ABCell, cfg Config, first, last in
 	return shards, nil
 }
 
-// mergeABShards folds per-shard aggregates — which must cover shards
-// 0..cfg.Shards-1 in ascending shard order — into the final result. The
-// merge order is part of the byte-identity contract: Welford's merge is not
-// associative in floating point, so a distributed reduce must replay exactly
-// this left fold.
-func mergeABShards(cells []ABCell, cfg Config, shards []abShard) ABResult {
-	res := ABResult{
-		Cells:        make([]ABCellStats, len(cells)),
-		Participants: cfg.Participants,
-		Shards:       cfg.Shards,
-	}
-	for i, cell := range cells {
-		res.Cells[i].Label = cell.Label
-	}
-	var funnel conformance.StreamFunnel
-	for si := range shards {
-		sh := &shards[si]
-		for i := range res.Cells {
-			res.Cells[i].Merge(&sh.cells[i])
-		}
-		funnel.Merge(sh.funnel)
-		res.Kept += sh.kept
-		res.Votes += sh.votes
-	}
-	if cfg.Conformance {
-		res.Funnel = funnel.Funnel()
-	}
-	return res
-}
-
 // ratingShard holds one shard's private aggregates.
 type ratingShard struct {
-	cells  []RatingCellStats
-	funnel conformance.StreamFunnel
-	kept   int64
-	votes  int64
+	cells []RatingCellStats
+	totals
+}
+
+// newRatingShards builds n empty shards of nc cells backed by three slabs —
+// cells, histogram structs and one flat bin array — instead of three
+// allocations per shard × cell.
+func newRatingShards(n, nc int) []ratingShard {
+	shards := make([]ratingShard, n)
+	cellSlab := make([]RatingCellStats, n*nc)
+	histSlab := make([]stats.StreamHist, n*nc)
+	binSlab := make([]int64, n*nc*ratingHistBins)
+	for k := range cellSlab {
+		histSlab[k].Init(study.RatingMin, study.RatingMax, binSlab[k*ratingHistBins:(k+1)*ratingHistBins:(k+1)*ratingHistBins])
+		cellSlab[k].Hist = &histSlab[k]
+	}
+	for i := range shards {
+		shards[i].cells = cellSlab[i*nc : (i+1)*nc : (i+1)*nc]
+	}
+	return shards
 }
 
 // RunRating simulates the rating study over the cells. Participants rate
@@ -485,15 +474,18 @@ type ratingShard struct {
 // from that environment's cells. Cancelling ctx aborts the run and returns
 // ctx.Err(), leaving no partial state behind.
 func RunRating(ctx context.Context, cells []RatingCell, cfg Config) (RatingResult, error) {
-	if len(cells) == 0 {
-		return RatingResult{}, fmt.Errorf("population: no rating cells")
-	}
-	cfg = cfg.withDefaults()
-	shards, err := runRatingShards(ctx, cells, cfg, 0, cfg.Shards)
+	acc, err := newRatingAccumulator(cells, cfg)
 	if err != nil {
 		return RatingResult{}, err
 	}
-	return mergeRatingShards(cells, cfg, shards), nil
+	shards, err := runRatingShards(ctx, cells, acc.cfg, 0, acc.cfg.Shards)
+	if err != nil {
+		return RatingResult{}, err
+	}
+	for i := range shards {
+		acc.absorb(&shards[i])
+	}
+	return acc.Result(), nil
 }
 
 // runRatingShards computes the private aggregates of shards [first, last) —
@@ -542,16 +534,10 @@ func runRatingShards(ctx context.Context, cells []RatingCell, cfg Config, first,
 		}
 	}
 
-	// Slab-backed shard aggregates: one slice of cells, one slice of
-	// histogram structs, one flat bin array — three allocations for the
-	// whole run instead of three per shard × cell. Worker scratch is pooled
-	// and reseeded per shard, so the participant loop allocates nothing.
-	nc := len(cells)
+	// Worker scratch is pooled and reseeded per shard, so the participant
+	// loop allocates nothing.
 	n := last - first
-	shards := make([]ratingShard, n)
-	cellSlab := make([]RatingCellStats, n*nc)
-	histSlab := make([]stats.StreamHist, n*nc)
-	binSlab := make([]int64, n*nc*ratingHistBins)
+	shards := newRatingShards(n, len(cells))
 	seeds := shardSeeds(cfg.Seed, cfg.Shards)
 	workers := cfg.Workers
 	if workers > n {
@@ -562,13 +548,6 @@ func runRatingShards(ctx context.Context, cells []RatingCell, cfg Config, first,
 	err := runShards(ctx, n, workers, func(ri, wi int) error {
 		si := first + ri
 		sh := &shards[ri]
-		sh.cells = cellSlab[ri*nc : (ri+1)*nc : (ri+1)*nc]
-		for i, c := range cells {
-			h := &histSlab[ri*nc+i]
-			bo := (ri*nc + i) * ratingHistBins
-			h.Init(study.RatingMin, study.RatingMax, binSlab[bo:bo+ratingHistBins:bo+ratingHistBins])
-			sh.cells[i] = RatingCellStats{Label: c.Label, Env: c.Env, Hist: h}
-		}
 		ws := &pool[wi]
 		rng := ws.rng
 		rng.Seed(seeds[si])
@@ -608,32 +587,4 @@ func runRatingShards(ctx context.Context, cells []RatingCell, cfg Config, first,
 		return nil, err
 	}
 	return shards, nil
-}
-
-// mergeRatingShards folds per-shard aggregates — covering shards
-// 0..cfg.Shards-1 in ascending shard order — into the final result; see
-// mergeABShards for why the order is load-bearing.
-func mergeRatingShards(cells []RatingCell, cfg Config, shards []ratingShard) RatingResult {
-	res := RatingResult{
-		Cells:        make([]RatingCellStats, len(cells)),
-		Participants: cfg.Participants,
-		Shards:       cfg.Shards,
-	}
-	for i, c := range cells {
-		res.Cells[i] = NewRatingCellStats(c.Label, c.Env)
-	}
-	var funnel conformance.StreamFunnel
-	for si := range shards {
-		sh := &shards[si]
-		for i := range res.Cells {
-			res.Cells[i].Merge(&sh.cells[i])
-		}
-		funnel.Merge(sh.funnel)
-		res.Kept += sh.kept
-		res.Votes += sh.votes
-	}
-	if cfg.Conformance {
-		res.Funnel = funnel.Funnel()
-	}
-	return res
 }

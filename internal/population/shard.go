@@ -19,11 +19,12 @@ import (
 //   - Per-shard aggregates travel as JSON-taggable states. encoding/json
 //     round-trips float64 exactly (shortest-repr formatting), so imported
 //     states carry the same bits as the in-memory originals.
-//   - ReduceAB/ReduceRating replay the exact left fold RunAB/RunRating
-//     perform: shards 0..Shards-1 merged in ascending order. Welford's merge
-//     is not associative in floating point, so the coordinator must ship
-//     per-shard states (not pre-merged ranges) and reduce them in order;
-//     that is what makes a distributed run byte-identical to a single-node
+//   - ReduceAB/ReduceRating import each state and absorb it through the same
+//     accumulator fold RunAB/RunRating use (accumulate.go): shards
+//     0..Shards-1 merged in ascending order. Welford's merge is not
+//     associative in floating point, so the coordinator ships per-shard
+//     states (not pre-merged ranges); with one fold over the same states in
+//     the same order, a distributed run is byte-identical to a single-node
 //     run at any cluster size.
 
 // ShardRange is a half-open range [Lo, Hi) of absolute shard indices.
@@ -164,18 +165,16 @@ func RunRatingRange(ctx context.Context, cells []RatingCell, cfg Config, r Shard
 
 // ReduceAB folds wire states — which must cover shards 0..Shards-1 exactly
 // once, in ascending order — into the final result, byte-identical to the
-// RunAB that would have computed all shards locally. A gap, duplicate, or
-// shape mismatch is an error, never a silent partial result. The fold
-// itself lives in ABAccumulator, which adaptive runs drive incrementally
-// with the same prefix contract.
+// RunAB that would have computed all shards locally. A gap, duplicate,
+// shape mismatch or count no run produces is an error, never a silent
+// partial result.
 func ReduceAB(cells []ABCell, cfg Config, states []ABShardState) (ABResult, error) {
-	cfg = cfg.withDefaults()
-	if len(states) != cfg.Shards {
-		return ABResult{}, fmt.Errorf("population: reduce has %d shard states, want %d", len(states), cfg.Shards)
-	}
 	acc, err := NewABAccumulator(cells, cfg)
 	if err != nil {
 		return ABResult{}, err
+	}
+	if len(states) != acc.cfg.Shards {
+		return ABResult{}, fmt.Errorf("population: reduce has %d shard states, want %d", len(states), acc.cfg.Shards)
 	}
 	if err := acc.Absorb(states); err != nil {
 		return ABResult{}, err
@@ -185,13 +184,12 @@ func ReduceAB(cells []ABCell, cfg Config, states []ABShardState) (ABResult, erro
 
 // ReduceRating is ReduceAB's counterpart for the rating design.
 func ReduceRating(cells []RatingCell, cfg Config, states []RatingShardState) (RatingResult, error) {
-	cfg = cfg.withDefaults()
-	if len(states) != cfg.Shards {
-		return RatingResult{}, fmt.Errorf("population: reduce has %d shard states, want %d", len(states), cfg.Shards)
-	}
-	acc, err := NewRatingAccumulator(cells, cfg)
+	acc, err := newRatingAccumulator(cells, cfg)
 	if err != nil {
 		return RatingResult{}, err
+	}
+	if len(states) != acc.cfg.Shards {
+		return RatingResult{}, fmt.Errorf("population: reduce has %d shard states, want %d", len(states), acc.cfg.Shards)
 	}
 	if err := acc.Absorb(states); err != nil {
 		return RatingResult{}, err

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/conformance"
 	"repro/internal/stats"
 	"repro/internal/study"
 )
@@ -136,6 +137,61 @@ func TestReduceABRejectsBadCoverage(t *testing.T) {
 	if _, err := ReduceAB(cells, cfg, garbled); err == nil {
 		t.Error("garbled funnel state accepted")
 	}
+
+	// Forged states whose wire encoding is internally well-formed but whose
+	// counts no run of this config can produce.
+	for _, tc := range []struct {
+		name   string
+		forge  func(st []ABShardState)
+		noConf bool // forge a run with conformance off
+	}{
+		{name: "funnel start beyond the shard's participants", forge: func(st []ABShardState) {
+			st[1].Funnel.Start += 50
+			st[1].Funnel.FirstViol[conformance.RuleCount] += 50
+		}},
+		{name: "kept beyond the funnel's conforming count", forge: func(st []ABShardState) { st[2].Kept += 7 }},
+		{name: "votes beyond the cells' votes", forge: func(st []ABShardState) { st[3].Votes += 11 }},
+		{name: "funnel of another group", forge: func(st []ABShardState) { st[0].Funnel.Group = study.Lab }},
+		{name: "funnel of the rating design", forge: func(st []ABShardState) { st[0].Funnel.Kind = conformance.Rating }},
+		{name: "cell votes without confidence answers", forge: func(st []ABShardState) {
+			st[0].Cells[0].VotesA++
+			st[0].Votes++
+		}},
+		{name: "replay count disagrees", forge: func(st []ABShardState) { st[1].Cells[2].Replays.N++ }},
+		{name: "negative cell count", forge: func(st []ABShardState) {
+			c := &st[2].Cells[1]
+			d := c.VotesNone + 1
+			c.VotesNone -= d
+			c.VotesA += d
+		}},
+		{name: "cell with more votes than kept participants", forge: func(st []ABShardState) {
+			c := &st[3].Cells[0]
+			extra := st[3].Kept + 1 - (c.VotesA + c.VotesB + c.VotesNone)
+			c.VotesB += extra
+			c.Confidence.N += extra
+			c.Replays.N += extra
+			st[3].Votes += extra
+		}},
+		{name: "funnel with conformance off", noConf: true, forge: func(st []ABShardState) {
+			st[0].Funnel.Start, st[0].Funnel.FirstViol[conformance.RuleCount] = 1, 1
+		}},
+		{name: "kept below the participants with conformance off", noConf: true, forge: func(st []ABShardState) { st[1].Kept-- }},
+	} {
+		c := cfg
+		c.Conformance = !tc.noConf
+		real, err := RunABRange(context.Background(), cells, c, ShardRange{Lo: 0, Hi: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReduceAB(cells, c, wireTrip(t, real)); err != nil {
+			t.Fatalf("%s: unforged states rejected: %v", tc.name, err)
+		}
+		forged := wireTrip(t, real)
+		tc.forge(forged)
+		if _, err := ReduceAB(cells, c, forged); err == nil {
+			t.Errorf("%s: forged state accepted", tc.name)
+		}
+	}
 }
 
 // TestRunABRangeAbsoluteIndexing: shard i computed via any enclosing range
@@ -260,16 +316,5 @@ func TestStateWireRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(h2.State(), h.State()) {
 		t.Fatal("imported StreamHist diverged")
-	}
-
-	var b stats.Binomial
-	for i := 0; i < 100; i++ {
-		b.Observe(rng.Intn(2) == 0)
-	}
-	bs := wireTrip(t, b.State())
-	var b2 stats.Binomial
-	b2.Import(bs)
-	if b2.State() != b.State() {
-		t.Fatal("imported Binomial diverged")
 	}
 }

@@ -84,10 +84,6 @@ type Config struct {
 	// one probe covers them all. A daemon may appear in its own peer list —
 	// peer probes never trigger simulations, so self-probes just miss.
 	Peers []string
-	// PeerClient overrides the HTTP client used for peer cache fill
-	// (default: a dedicated client with a 30s timeout — peer fetches read
-	// finished bytes, they never wait on a simulation).
-	PeerClient *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -259,10 +255,9 @@ func Open(cfg Config) (*Server, error) {
 		s.store = st
 	}
 	if len(cfg.Peers) > 0 {
-		httpc := cfg.PeerClient
-		if httpc == nil {
-			httpc = &http.Client{Timeout: 30 * time.Second}
-		}
+		// Peer fetches read finished bytes, they never wait on a
+		// simulation, so a fixed 30s timeout bounds a stuck peer.
+		httpc := &http.Client{Timeout: 30 * time.Second}
 		for _, u := range cfg.Peers {
 			s.peers = append(s.peers, qoe.NewClient(u, httpc))
 		}

@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// ConfidenceSequence turns the package's fixed-sample intervals — Wilson for
-// Binomial shares, Student-t for Welford means — into an always-valid
-// boundary that tolerates optional stopping: a caller may peek at the
-// interval after every batch of observations and stop the moment a decision
-// locks, and the probability that ANY look in the (unbounded) sequence
-// excludes the truth stays below the total error budget Alpha.
+// ConfidenceSequence turns the package's fixed-sample Wilson interval for
+// Binomial shares into an always-valid boundary that tolerates optional
+// stopping: a caller may peek at the interval after every batch of
+// observations and stop the moment a decision locks, and the probability
+// that ANY look in the (unbounded) sequence excludes the truth stays below
+// the total error budget Alpha.
 //
 // The construction is alpha-spending over looks with a convergent schedule:
 // look k (1-based) is taken at level
@@ -52,7 +52,7 @@ func (c *ConfidenceSequence) Looks() int64 { return c.looks }
 
 // NextLevel spends the next look and returns its confidence level
 // 1 − Alpha·(6/π²)/k². Callers that only need the schedule (not the
-// interval helpers below) drive the counter through this.
+// interval helper below) drive the counter through this.
 func (c *ConfidenceSequence) NextLevel() float64 {
 	c.looks++
 	k := float64(c.looks)
@@ -67,14 +67,4 @@ func (c *ConfidenceSequence) LookBinomial(b Binomial) (Interval, error) {
 		return Interval{}, fmt.Errorf("binomial CI: %w", ErrInsufficientData)
 	}
 	return b.CI(c.NextLevel())
-}
-
-// LookWelford spends one look at a Welford aggregate and returns the
-// always-valid Student-t interval for the mean. Fewer than two observations
-// return ErrInsufficientData without spending the look.
-func (c *ConfidenceSequence) LookWelford(w Welford) (Interval, error) {
-	if w.N() < 2 {
-		return Interval{}, fmt.Errorf("mean CI: %w", ErrInsufficientData)
-	}
-	return w.MeanCI(c.NextLevel())
 }

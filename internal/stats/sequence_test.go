@@ -59,11 +59,6 @@ func TestConfidenceSequenceInsufficientData(t *testing.T) {
 	if _, err := cs.LookBinomial(b); err == nil {
 		t.Fatal("zero-trial binomial: want error")
 	}
-	var w Welford
-	w.Add(1)
-	if _, err := cs.LookWelford(w); err == nil {
-		t.Fatal("one-sample welford: want error")
-	}
 	if cs.Looks() != 0 {
 		t.Fatalf("failed looks must not spend budget: Looks() = %d", cs.Looks())
 	}
@@ -132,47 +127,5 @@ func TestConfidenceSequenceBinomialCalibration(t *testing.T) {
 	}
 	if naiveRate <= bound {
 		t.Fatalf("naive repeated 95%% interval false-stop rate %.3f unexpectedly calibrated (≤ %.3f); the test has lost its teeth", naiveRate, bound)
-	}
-}
-
-// TestConfidenceSequenceWelfordCalibration is the mean-threshold analogue:
-// null streams of N(0, 1) observations peeked against threshold 0.
-func TestConfidenceSequenceWelfordCalibration(t *testing.T) {
-	const (
-		alpha     = 0.05
-		streams   = 400
-		samples   = 2000
-		peekEvery = 100
-	)
-	rng := rand.New(rand.NewSource(11))
-	falseSeq := 0
-	for s := 0; s < streams; s++ {
-		cs, err := NewConfidenceSequence(alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w Welford
-		stopped := false
-		for v := 1; v <= samples; v++ {
-			w.Add(rng.NormFloat64())
-			if v%peekEvery != 0 || stopped {
-				continue
-			}
-			iv, err := cs.LookWelford(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if iv.Lo > 0 || iv.Hi < 0 {
-				stopped = true
-			}
-		}
-		if stopped {
-			falseSeq++
-		}
-	}
-	rate := float64(falseSeq) / streams
-	bound := alpha + 3*math.Sqrt(alpha*(1-alpha)/streams)
-	if rate > bound {
-		t.Fatalf("sequential false-stop rate %.3f exceeds calibration bound %.3f (α=%v)", rate, bound, alpha)
 	}
 }

@@ -65,17 +65,3 @@ func (h *StreamHist) Import(s StreamHistState) error {
 	h.n = s.N
 	return nil
 }
-
-// BinomialState is the complete state of a Binomial counter.
-type BinomialState struct {
-	Successes int64 `json:"successes"`
-	Trials    int64 `json:"trials"`
-}
-
-// State snapshots the counter.
-func (b *Binomial) State() BinomialState {
-	return BinomialState{Successes: b.successes, Trials: b.trials}
-}
-
-// Import replaces the counter's state with a snapshot.
-func (b *Binomial) Import(s BinomialState) { *b = Binomial{successes: s.Successes, trials: s.Trials} }

@@ -93,11 +93,8 @@ func NewLatencySet(classes ...string) *LatencySet {
 	return s
 }
 
-// Observe records d under class; unknown classes are dropped. Nil-safe.
+// Observe records d under class; unknown classes are dropped.
 func (s *LatencySet) Observe(class string, d time.Duration) {
-	if s == nil {
-		return
-	}
 	for i, c := range s.classes {
 		if c == class {
 			s.hists[i].Observe(d)
@@ -106,35 +103,11 @@ func (s *LatencySet) Observe(class string, d time.Duration) {
 	}
 }
 
-// Classes returns the class names in declaration order.
-func (s *LatencySet) Classes() []string {
-	if s == nil {
-		return nil
-	}
-	return s.classes
-}
-
 // Snapshot returns per-class stats in declaration order, keyed by class.
 func (s *LatencySet) Snapshot() map[string]LatencyStats {
-	if s == nil {
-		return nil
-	}
 	out := make(map[string]LatencyStats, len(s.classes))
 	for i, c := range s.classes {
 		out[c] = s.hists[i].Snapshot()
 	}
 	return out
-}
-
-// Get returns the class's stats (zero stats for unknown classes).
-func (s *LatencySet) Get(class string) LatencyStats {
-	if s == nil {
-		return LatencyStats{}
-	}
-	for i, c := range s.classes {
-		if c == class {
-			return s.hists[i].Snapshot()
-		}
-	}
-	return LatencyStats{}
 }

@@ -27,9 +27,6 @@ func appendPromHeader(buf []byte, name, help string, kind Kind) []byte {
 // ns{class="mem",quantile="0.5"} …, plus ns_sum{class=…} and
 // ns_count{class=…}.
 func (s *LatencySet) AppendProm(buf []byte, ns string) []byte {
-	if s == nil {
-		return buf
-	}
 	buf = appendPromHeader(buf, ns, "Latency in seconds by class, quantiles interpolated from a log-domain histogram.", "summary")
 	for i, class := range s.classes {
 		st := s.hists[i].Snapshot()

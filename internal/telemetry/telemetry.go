@@ -66,12 +66,6 @@ type Attr struct {
 	Value string
 }
 
-// String builds an Attr.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
-
-// Int builds an integer-valued Attr (formats; not for hot paths).
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
-
 // Attrs marshals as a flat JSON object, so trace dumps read
 // {"worker":"http://...","attempt":"2"} rather than an array of pairs.
 type Attrs []Attr

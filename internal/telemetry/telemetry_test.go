@@ -80,7 +80,7 @@ func TestSpanErrAndRecord(t *testing.T) {
 	s := tr.Start("t1", "dispatch", 0)
 	s.EndErr(fmt.Errorf("worker down"))
 	start := time.Now().Add(-time.Second)
-	id := tr.Record("t1", "queue_wait", 7, start, time.Now(), String("depth", "3"))
+	id := tr.Record("t1", "queue_wait", 7, start, time.Now(), Attr{Key: "depth", Value: "3"})
 	if id == 0 {
 		t.Fatal("Record returned zero span id")
 	}
@@ -289,7 +289,11 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	set.Observe("cold", 2*time.Second)
 	set.Observe("unknown", time.Hour) // dropped
 
-	mem := set.Get("mem")
+	snap := set.Snapshot()
+	if len(snap) != 2 {
+		t.Fatalf("snapshot classes %v, want mem and cold only", snap)
+	}
+	mem := snap["mem"]
 	if mem.Count != 1000 {
 		t.Fatalf("mem count %d", mem.Count)
 	}
@@ -297,21 +301,13 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	if mem.P50 < 50e-6 || mem.P50 > 200e-6 {
 		t.Fatalf("mem p50 %g out of band", mem.P50)
 	}
-	cold := set.Get("cold")
+	cold := snap["cold"]
 	if cold.Count != 1 || cold.P99 < 1 || cold.P99 > 4 {
 		t.Fatalf("cold stats %+v", cold)
 	}
-	if set.Get("unknown").Count != 0 {
-		t.Fatal("unknown class recorded")
-	}
-	empty := NewLatencySet("x").Get("x")
+	empty := NewLatencySet("x").Snapshot()["x"]
 	if empty.Count != 0 || empty.P50 != 0 {
 		t.Fatalf("empty class nonzero: %+v", empty)
-	}
-	var nilSet *LatencySet
-	nilSet.Observe("mem", time.Second)
-	if nilSet.Snapshot() != nil || nilSet.Classes() != nil {
-		t.Fatal("nil set misbehaved")
 	}
 }
 
