@@ -30,6 +30,27 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestRearmSteadyStateAllocFree pins the retransmission-timer pattern at
+// zero allocations per cycle in steady state: every packet cancels the
+// pending timeout and schedules a new one while the clock advances, so the
+// cancelled node must go straight back to the free list.
+func TestRearmSteadyStateAllocFree(t *testing.T) {
+	s := New(1)
+	var rto Timer
+	cycle := func() {
+		rto.Cancel()
+		rto = s.ScheduleArg(200*time.Millisecond, nopEvent, nil)
+		s.RunUntil(s.Now() + time.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	avg := testing.AllocsPerRun(1000, cycle)
+	if avg != 0 {
+		t.Fatalf("cancel+reschedule allocates %.1f/cycle in steady state, want 0", avg)
+	}
+}
+
 // TestLinkSendSteadyStateAllocs pins Link.Send at <= 1 allocation per frame
 // in steady state (it is expected to be 0: pooled frame node, pooled event
 // node, no closures).

@@ -9,12 +9,12 @@
 // bit-reproducible.
 //
 // The event core is allocation-free in steady state: event nodes come from a
-// per-simulator free list and are recycled when they fire or when a
-// cancelled node is popped, and callbacks are scheduled as a plain function
-// plus a pre-bound argument (ScheduleArg) instead of a per-event closure.
-// Events execute in (time, sequence) order — FIFO among simultaneous events
-// — which is the ordering contract every deterministic result in this
-// repository depends on.
+// per-simulator free list and are recycled when they fire or are cancelled,
+// the queue is a pointer-free heap of (time, sequence, node index) values, and
+// callbacks are scheduled as a plain function plus a pre-bound argument
+// (ScheduleArg) instead of a per-event closure. Events execute in (time,
+// sequence) order — FIFO among simultaneous events — which is the ordering
+// contract every deterministic result in this repository depends on.
 package simnet
 
 import (
@@ -22,18 +22,34 @@ import (
 	"time"
 )
 
-// timerNode is one pooled event-queue entry. Nodes belong to their
-// Simulator: they move between the event heap and the free list and are
-// never shared across simulators. gen distinguishes incarnations of a node
-// so that a stale Timer handle (kept after the event fired or was cancelled)
-// is inert rather than affecting an unrelated recycled event.
+// timerNode is one pooled event. Nodes belong to their Simulator: they move
+// between the event heap and the free list and are never shared across
+// simulators. gen distinguishes incarnations of a node: it is bumped when the
+// event fires or is cancelled, so a Timer handle is active exactly while its
+// generation matches, and a stale handle is inert rather than affecting an
+// unrelated recycled event.
 type timerNode struct {
-	at      time.Duration
-	seq     uint64
-	fn      func(any)
-	arg     any
-	gen     uint64
-	pending bool
+	fn  func(any)
+	arg any
+	gen uint64
+	sim *Simulator // owner, set once when the node's slab is created
+	id  int32      // index in sim.nodes
+	pos int32      // index of the node's entry in sim.events while queued
+}
+
+// heapEntry is one queued event: its (at, seq) order key and the index of its
+// node. It holds no pointers, so sifting entries costs no GC write barriers.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
+
+func (e heapEntry) before(o heapEntry) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
 }
 
 // Timer is a cheap value handle to a scheduled event that can be cancelled.
@@ -44,28 +60,18 @@ type Timer struct {
 	gen uint64
 }
 
-// Cancel prevents the timer from firing. Cancelling an already-fired,
-// already-cancelled, or zero timer is a no-op.
+// Cancel removes the event from the queue so it never fires. Cancelling an
+// already-fired, already-cancelled, or zero timer is a no-op.
 func (t Timer) Cancel() {
-	if t.n != nil && t.gen == t.n.gen && t.n.pending {
-		t.n.pending = false
-		t.n.fn = nil
-		t.n.arg = nil
+	if n := t.n; n != nil && t.gen == n.gen {
+		n.sim.heapRemove(int(n.pos))
+		n.sim.release(n)
 	}
 }
 
-// Active reports whether the timer is still pending.
+// Active reports whether the timer's event is still queued.
 func (t Timer) Active() bool {
-	return t.n != nil && t.gen == t.n.gen && t.n.pending
-}
-
-// At returns the virtual time the timer is scheduled to fire, or zero if the
-// handle is no longer active.
-func (t Timer) At() time.Duration {
-	if !t.Active() {
-		return 0
-	}
-	return t.n.at
+	return t.n != nil && t.gen == t.n.gen
 }
 
 // Simulator owns a virtual clock and an event queue. It is not safe for
@@ -74,14 +80,12 @@ func (t Timer) At() time.Duration {
 // in the event loop.
 type Simulator struct {
 	now    time.Duration
-	events []*timerNode // binary min-heap on (at, seq)
-	free   []*timerNode
+	events []heapEntry  // binary min-heap on (at, seq)
+	nodes  []*timerNode // every node the simulator owns, by index
+	free   []int32      // indices of the nodes not queued
 	seq    uint64
 	curSeq uint64 // seq of the event currently executing
 	rng    *rand.Rand
-
-	// Processed counts events executed, for instrumentation and benchmarks.
-	Processed uint64
 }
 
 // New returns a simulator whose random stream is derived from seed.
@@ -140,96 +144,108 @@ func (s *Simulator) ScheduleArgAt(at time.Duration, fn func(any), arg any) Timer
 		// allocation per 32 events, not one per event.
 		slab := make([]timerNode, 32)
 		for i := range slab {
-			s.free = append(s.free, &slab[i])
+			n := &slab[i]
+			n.sim, n.id = s, int32(len(s.nodes))
+			s.nodes = append(s.nodes, n)
+			s.free = append(s.free, n.id)
 		}
 	}
-	ln := len(s.free)
-	n := s.free[ln-1]
-	s.free[ln-1] = nil
-	s.free = s.free[:ln-1]
-	n.at, n.seq, n.fn, n.arg, n.pending = at, s.seq, fn, arg, true
+	id := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	n := s.nodes[id]
+	n.fn, n.arg = fn, arg
+	s.heapPush(heapEntry{at: at, seq: s.seq, idx: id})
 	s.seq++
-	s.heapPush(n)
 	return Timer{n: n, gen: n.gen}
 }
 
-// release recycles a node popped off the heap. Bumping gen invalidates every
-// outstanding handle to this incarnation before the node is reused.
+// release recycles a node that fired or was cancelled. Bumping gen
+// invalidates every outstanding handle to this incarnation before the node
+// is reused.
 func (s *Simulator) release(n *timerNode) {
 	n.gen++
 	n.fn = nil
 	n.arg = nil
-	n.pending = false
-	s.free = append(s.free, n)
+	s.free = append(s.free, n.id)
 }
 
-// less orders the heap by (at, seq): FIFO among simultaneous events.
-func less(a, b *timerNode) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// place stores e at heap position i and records the position on its node.
+func (s *Simulator) place(i int, e heapEntry) {
+	s.events[i] = e
+	s.nodes[e.idx].pos = int32(i)
 }
 
-func (s *Simulator) heapPush(n *timerNode) {
-	h := append(s.events, n)
-	i := len(h) - 1
+func (s *Simulator) heapPush(e heapEntry) {
+	s.events = append(s.events, e)
+	s.siftUp(len(s.events)-1, e)
+}
+
+// siftUp fills the hole at i with e, moving parents down until e fits.
+func (s *Simulator) siftUp(i int, e heapEntry) {
+	h := s.events
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less(h[i], h[p]) {
+		if !e.before(h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		s.place(i, h[p])
 		i = p
 	}
-	s.events = h
+	s.place(i, e)
 }
 
-func (s *Simulator) heapPop() *timerNode {
+// siftDown fills the hole at i with e, moving smaller children up until e
+// fits.
+func (s *Simulator) siftDown(i int, e heapEntry) {
 	h := s.events
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	h = h[:last]
-	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && less(h[l], h[min]) {
-			min = l
-		}
-		if r < last && less(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		s.place(i, h[c])
+		i = c
 	}
-	s.events = h
-	return top
+	s.place(i, e)
 }
 
-// step executes the earliest pending event. It reports false when the queue
+// heapRemove deletes the entry at heap position i. Keys are unique, so the
+// heap's shape never affects the order events are popped in.
+func (s *Simulator) heapRemove(i int) {
+	last := len(s.events) - 1
+	e := s.events[last]
+	s.events = s.events[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && e.before(s.events[(i-1)/2]) {
+		s.siftUp(i, e)
+	} else {
+		s.siftDown(i, e)
+	}
+}
+
+// step executes the earliest queued event. It reports false when the queue
 // is empty.
 func (s *Simulator) step() bool {
-	for len(s.events) > 0 {
-		n := s.heapPop()
-		if !n.pending {
-			s.release(n)
-			continue
-		}
-		s.now = n.at
-		s.curSeq = n.seq
-		fn, arg := n.fn, n.arg
-		s.release(n) // before the callback, so it can reuse the node
-		s.Processed++
-		fn(arg)
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := s.events[0]
+	n := s.nodes[e.idx]
+	s.heapRemove(0)
+	s.now = e.at
+	s.curSeq = e.seq
+	fn, arg := n.fn, n.arg
+	s.release(n) // before the callback, so it can reuse the node
+	fn(arg)
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -241,21 +257,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled past the deadline stay queued.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	for {
-		// Peek without popping, discarding cancelled nodes.
-		var next *timerNode
-		for len(s.events) > 0 {
-			cand := s.events[0]
-			if !cand.pending {
-				s.release(s.heapPop())
-				continue
-			}
-			next = cand
-			break
-		}
-		if next == nil || next.at > deadline {
-			break
-		}
+	for len(s.events) > 0 && s.events[0].at <= deadline {
 		s.step()
 	}
 	if s.now < deadline {

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,6 +53,160 @@ func TestTimerCancel(t *testing.T) {
 	}
 	if tm.Active() {
 		t.Fatal("cancelled timer still active")
+	}
+}
+
+// TestCancelRemovesEvent pins eager cancellation: a cancelled event leaves
+// the heap at once and its node goes straight back to the pool, so the
+// cancel-and-rearm pattern of a retransmission timer keeps the heap empty
+// and the pool at one slab.
+func TestCancelRemovesEvent(t *testing.T) {
+	s := New(1)
+	var tm Timer
+	for i := 0; i < 1000; i++ {
+		tm.Cancel()
+		tm = s.ScheduleArg(time.Second, nopEvent, nil)
+	}
+	tm.Cancel()
+	if len(s.events) != 0 {
+		t.Fatalf("%d events queued after cancelling every timer, want 0", len(s.events))
+	}
+	if len(s.nodes) != 32 || len(s.free) != len(s.nodes) {
+		t.Fatalf("pool holds %d nodes, %d free; want one slab, all free", len(s.nodes), len(s.free))
+	}
+}
+
+// heapHarness drives a Simulator with random schedules, cancels and
+// RunUntil calls, and keeps the reference model: each event's (at, seq)
+// key, with seq the schedule order, and whether it was cancelled while
+// pending.
+type heapHarness struct {
+	t      *testing.T
+	s      *Simulator
+	rng    *rand.Rand
+	events []*refEvent // by schedule order
+	fired  []int       // event ids in firing order
+}
+
+type refEvent struct {
+	h         *heapHarness
+	id        int
+	at        time.Duration
+	timer     Timer
+	fired     bool
+	cancelled bool
+}
+
+func refFire(a any) {
+	e := a.(*refEvent)
+	h := e.h
+	if e.fired || e.cancelled {
+		h.t.Fatalf("event %d fired again or after its cancel", e.id)
+	}
+	if h.s.Now() != e.at {
+		h.t.Fatalf("event %d fired at %v, scheduled for %v", e.id, h.s.Now(), e.at)
+	}
+	e.fired = true
+	h.fired = append(h.fired, e.id)
+	if h.rng.Intn(3) == 0 {
+		h.cancelRandom()
+	}
+	if h.rng.Intn(2) == 0 {
+		h.schedule()
+	}
+}
+
+func (h *heapHarness) schedule() {
+	now := h.s.Now()
+	at := now + time.Duration(h.rng.Intn(20))*time.Millisecond
+	if h.rng.Intn(8) == 0 {
+		at = now - time.Millisecond // in the past: clamped to now
+	}
+	e := &refEvent{h: h, id: len(h.events), at: max(at, now)}
+	e.timer = h.s.ScheduleArgAt(at, refFire, e)
+	h.events = append(h.events, e)
+}
+
+// cancelRandom cancels any event ever scheduled: a pending one anywhere in
+// the heap, or one already fired or cancelled, whose stale handle may point
+// at a recycled node and must not touch it.
+func (h *heapHarness) cancelRandom() {
+	if len(h.events) == 0 {
+		return
+	}
+	e := h.events[h.rng.Intn(len(h.events))]
+	pending := !e.fired && !e.cancelled
+	if e.timer.Active() != pending {
+		h.t.Fatalf("event %d: Active() = %v, want %v", e.id, e.timer.Active(), pending)
+	}
+	e.timer.Cancel()
+	if pending {
+		e.cancelled = true
+	}
+}
+
+// checkHeap verifies the heap order, every queued node's recorded position,
+// and that each node is either queued or free.
+func (h *heapHarness) checkHeap() {
+	s := h.s
+	for i, e := range s.events {
+		if got := s.nodes[e.idx].pos; int(got) != i {
+			h.t.Fatalf("node %d records heap position %d, is at %d", e.idx, got, i)
+		}
+		if i > 0 && e.before(s.events[(i-1)/2]) {
+			h.t.Fatalf("heap order broken at %d", i)
+		}
+	}
+	if len(s.events)+len(s.free) != len(s.nodes) {
+		h.t.Fatalf("%d queued + %d free != %d nodes", len(s.events), len(s.free), len(s.nodes))
+	}
+}
+
+// TestHeapMatchesReference drives the indexed heap with random schedules,
+// mid-heap cancels, stale handles, cancels and schedules from inside
+// callbacks and interleaved RunUntil calls, and checks the firing order
+// against a reference sort by (at, seq) of the events never cancelled.
+func TestHeapMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		h := &heapHarness{t: t, s: New(seed), rng: rand.New(rand.NewSource(seed))}
+		for op := 0; op < 400; op++ {
+			switch r := h.rng.Intn(10); {
+			case r < 5:
+				h.schedule()
+			case r < 8:
+				h.cancelRandom()
+			default:
+				h.s.RunUntil(h.s.Now() + time.Duration(h.rng.Intn(15))*time.Millisecond)
+			}
+			h.checkHeap()
+		}
+		h.s.Run()
+		h.checkHeap()
+
+		var want []int
+		for _, e := range h.events {
+			if !e.cancelled {
+				want = append(want, e.id)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := h.events[want[i]], h.events[want[j]]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			return a.id < b.id
+		})
+		if len(h.fired) != len(want) {
+			t.Fatalf("seed %d: %d events fired, want %d", seed, len(h.fired), len(want))
+		}
+		for i := range want {
+			if h.fired[i] != want[i] {
+				t.Fatalf("seed %d: firing #%d is event %d, want %d", seed, i, h.fired[i], want[i])
+			}
+		}
+		if len(h.s.events) != 0 {
+			t.Fatalf("seed %d: %d events left after Run", seed, len(h.s.events))
+		}
 	}
 }
 

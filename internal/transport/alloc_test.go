@@ -13,7 +13,9 @@ import (
 // traversal, delayed acks, SACK generation, loss detection — on a loss-free
 // network. With pooled packets, pooled sent-packet records, pooled event
 // nodes and in-place range sets, a 64 KB write settles at a handful of
-// allocations (map-bucket churn), where it used to cost ~10 per packet.
+// allocations (replacements for the packets the link's droptail queue
+// drops, which never return to the pool), where it used to cost ~10 per
+// packet.
 func TestTransportSendPathAllocs(t *testing.T) {
 	sim := simnet.New(1)
 	net := NewNetwork(sim, simnet.DSL)

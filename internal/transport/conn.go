@@ -126,16 +126,17 @@ type Conn struct {
 	hsRetries    int
 	hsLastSendAt time.Duration // for handshake RTT sampling
 
-	// Send state. queue is consumed from qHead so draining does not realloc.
+	// Send state. queue holds one entry per WriteStream call; nextChunk
+	// carves MSS-sized chunks off its head.
 	nextPN int64
-	queue  []chunk
-	qHead  int
+	queue  chunkQueue
 	// rexmitQ holds chunks awaiting retransmission, lowest sequence first —
 	// the SACK-scoreboard rule that the oldest hole is repaired first.
-	rexmitQ      []chunk
-	connSendOff  int64
-	sent         map[int64]*SentPacket
-	sentOrder    []int64
+	rexmitQ     chunkQueue
+	connSendOff int64
+	// sent holds the outstanding data packets in ascending PN order; acked
+	// and lost records are dropped by compactSent.
+	sent         []*SentPacket
 	inFlight     int
 	delivered    int64
 	largestAcked int64
@@ -202,7 +203,6 @@ func NewConn(sim *simnet.Simulator, cfg Config, out func(simnet.Frame)) *Conn {
 		sim:          sim,
 		cfg:          cfg,
 		out:          out,
-		sent:         make(map[int64]*SentPacket),
 		rcvSegs:      make(map[int64]segMeta),
 		streams:      make(map[int]*recvStream),
 		peerRwnd:     1 << 20, // replaced by SetPeerRecvBuf / ack advertisements
@@ -237,9 +237,6 @@ func (c *Conn) newSentPacket() *SentPacket {
 
 func (c *Conn) freeSentPacket(sp *SentPacket) { c.spFree = append(c.spFree, sp) }
 
-// queueLen returns the number of chunks awaiting first transmission.
-func (c *Conn) queueLen() int { return len(c.queue) - c.qHead }
-
 // Package-level event callbacks: scheduled with ScheduleArg so arming a
 // timer allocates neither a node nor a closure.
 func onRTOEvent(a any)   { a.(*Conn).onRTO() }
@@ -253,7 +250,7 @@ func paceResumeEvent(a any) {
 
 func drainSignalEvent(a any) {
 	c := a.(*Conn)
-	if c.queueLen() == 0 && len(c.rexmitQ) == 0 {
+	if c.queue.len() == 0 && c.rexmitQ.len() == 0 {
 		c.OnSendSpace()
 	}
 }
@@ -279,16 +276,6 @@ func (c *Conn) Established() bool { return c.established }
 
 // SRTT exposes the smoothed RTT estimate.
 func (c *Conn) SRTT() time.Duration { return c.rtt.SRTT() }
-
-// QueuedBytes returns payload bytes accepted by WriteStream but not yet
-// acknowledged as sent (queued for first transmission or retransmission).
-func (c *Conn) QueuedBytes() int64 {
-	var n int64
-	for _, ch := range c.queue[c.qHead:] {
-		n += int64(ch.len)
-	}
-	return n
-}
 
 // lastOutStep returns the index of the last script step this side sends, or
 // -1 if it sends none.
@@ -443,33 +430,12 @@ func (c *Conn) WriteStream(streamID int, n int64, fin bool) {
 		panic(fmt.Sprintf("transport: non-positive write %d", n))
 	}
 	offBase := c.streamSendOff(streamID)
-	// Reclaim the consumed queue prefix before growing the slice, so a
-	// long-lived conn's queue capacity is bounded by its live contents.
-	if c.qHead > 0 && c.qHead*2 >= len(c.queue) {
-		live := copy(c.queue, c.queue[c.qHead:])
-		c.queue = c.queue[:live]
-		c.qHead = 0
+	ch := chunk{streamID: streamID, streamOff: offBase, len: int(n), fin: fin, connOff: -1}
+	if c.cfg.Sem.ByteStream {
+		ch.connOff = c.connSendOff
+		c.connSendOff += n
 	}
-	remaining := n
-	for remaining > 0 {
-		sz := int64(c.cfg.MSS)
-		if remaining < sz {
-			sz = remaining
-		}
-		ch := chunk{
-			streamID:  streamID,
-			streamOff: offBase + (n - remaining),
-			len:       int(sz),
-			fin:       fin && remaining == sz,
-			connOff:   -1,
-		}
-		if c.cfg.Sem.ByteStream {
-			ch.connOff = c.connSendOff
-			c.connSendOff += sz
-		}
-		c.queue = append(c.queue, ch)
-		remaining -= sz
-	}
+	c.queue.push(ch)
 	c.drainSignaled = false // new data: the next drain may signal again
 	c.setStreamSendOff(streamID, offBase+n)
 	c.trySend()
@@ -491,33 +457,46 @@ func (c *Conn) setStreamSendOff(id int, v int64) {
 }
 
 // nextChunk peeks the next chunk to transmit: retransmissions first (lowest
-// sequence), then new data. Retransmission chunks whose bytes the peer has
-// meanwhile SACKed are discarded.
+// sequence), then at most MSS bytes off the head of the oldest write.
+// Retransmission chunks whose bytes the peer has meanwhile SACKed are
+// discarded.
 func (c *Conn) nextChunk() (chunk, bool) {
-	for len(c.rexmitQ) > 0 {
-		ch := c.rexmitQ[0]
+	for c.rexmitQ.len() > 0 {
+		ch := *c.rexmitQ.front()
 		if c.cfg.Sem.ByteStream && c.ackedBytes.Contains(ch.connOff, ch.connOff+int64(ch.len)) {
-			c.rexmitQ = c.rexmitQ[1:]
+			c.rexmitQ.pop()
 			continue
 		}
 		return ch, true
 	}
-	if c.qHead < len(c.queue) {
-		return c.queue[c.qHead], true
+	if c.queue.len() == 0 {
+		return chunk{}, false
 	}
-	return chunk{}, false
+	ch := *c.queue.front()
+	if ch.len > c.cfg.MSS {
+		ch.len = c.cfg.MSS
+		ch.fin = false
+	}
+	return ch, true
 }
 
-func (c *Conn) popChunk() {
-	if len(c.rexmitQ) > 0 {
-		c.rexmitQ = c.rexmitQ[1:]
+// popChunk consumes the n bytes nextChunk returned: the whole retransmission
+// at the head, or the first n bytes of the oldest write.
+func (c *Conn) popChunk(n int) {
+	if c.rexmitQ.len() > 0 {
+		c.rexmitQ.pop()
 		return
 	}
-	c.qHead++
-	if c.qHead == len(c.queue) {
-		c.queue = c.queue[:0]
-		c.qHead = 0
+	head := c.queue.front()
+	if head.len > n {
+		head.len -= n
+		head.streamOff += int64(n)
+		if c.cfg.Sem.ByteStream {
+			head.connOff += int64(n)
+		}
+		return
 	}
+	c.queue.pop()
 }
 
 // trySend drains the queues while congestion, flow-control and pacing allow.
@@ -528,7 +507,7 @@ func (c *Conn) trySend() {
 	// Idle restart: Linux collapses cwnd to IW when the connection was
 	// quiet for an RTO (tcp_slow_start_after_idle); the controller decides
 	// whether to honor it.
-	if c.everSent && c.inFlight == 0 && (c.queueLen() > 0 || len(c.rexmitQ) > 0) &&
+	if c.everSent && c.inFlight == 0 && (c.queue.len() > 0 || c.rexmitQ.len() > 0) &&
 		c.sim.Now()-c.lastSentAt > c.rtt.RTO() {
 		c.cfg.CC.OnIdleRestart(c.sim.Now())
 	}
@@ -559,7 +538,7 @@ func (c *Conn) trySend() {
 				return
 			}
 		}
-		c.popChunk()
+		c.popChunk(ch.len)
 		c.sendChunk(ch)
 	}
 }
@@ -580,13 +559,10 @@ func (c *Conn) sendChunk(ch chunk) {
 	wire := ch.len + c.cfg.Sem.PacketOverhead
 	sp := c.newSentPacket()
 	sp.PN = pn
-	sp.Size = wire
 	sp.SentAt = int64(c.sim.Now())
-	sp.HasData = true
 	sp.Chunk = ch
 	sp.DeliveredAtSend = c.delivered
-	c.sent[pn] = sp
-	c.sentOrder = append(c.sentOrder, pn)
+	c.sent = append(c.sent, sp)
 	c.inFlight += ch.len
 	if end := ch.connOff + int64(ch.len); end > c.highestSentOff {
 		c.highestSentOff = end
@@ -629,9 +605,9 @@ func (c *Conn) onRTO() {
 		// collapsing the window. Its (s)ack restarts normal loss detection
 		// for the rest of the tail.
 		c.tlpFired = true
-		for i := len(c.sentOrder) - 1; i >= 0; i-- {
-			sp := c.sent[c.sentOrder[i]]
-			if sp == nil || sp.Acked || sp.Lost || !sp.HasData {
+		for i := len(c.sent) - 1; i >= 0; i-- {
+			sp := c.sent[i]
+			if sp.Acked || sp.Lost {
 				continue
 			}
 			sp.Lost = true
@@ -651,9 +627,8 @@ func (c *Conn) onRTO() {
 	c.rtt.Backoff++
 	c.cfg.CC.OnRTO(c.sim.Now())
 	// Re-queue every outstanding chunk, oldest first, ahead of new data.
-	for _, pn := range c.sentOrder {
-		sp := c.sent[pn]
-		if sp == nil || sp.Acked || sp.Lost || !sp.HasData {
+	for _, sp := range c.sent {
+		if sp.Acked || sp.Lost {
 			continue
 		}
 		sp.Lost = true
@@ -680,9 +655,11 @@ func (c *Conn) enqueueRexmit(ch chunk) {
 		return int64(x.streamID)<<40 | x.streamOff
 	}
 	k := key(ch)
-	pos := len(c.rexmitQ)
-	for i, q := range c.rexmitQ {
-		kq := key(q)
+	q := &c.rexmitQ
+	q.compact()
+	pos := len(q.buf)
+	for i := q.head; i < len(q.buf); i++ {
+		kq := key(q.buf[i])
 		if kq == k {
 			return // already queued
 		}
@@ -691,27 +668,24 @@ func (c *Conn) enqueueRexmit(ch chunk) {
 			break
 		}
 	}
-	c.rexmitQ = append(c.rexmitQ, chunk{})
-	copy(c.rexmitQ[pos+1:], c.rexmitQ[pos:])
-	c.rexmitQ[pos] = ch
+	q.buf = append(q.buf, chunk{})
+	copy(q.buf[pos+1:], q.buf[pos:])
+	q.buf[pos] = ch
 }
 
-// compactSent drops acked/lost entries from the ordered scan list, returning
-// their records to the conn's free list.
+// compactSent drops acked/lost records from the sent list, returning them to
+// the conn's free list.
 func (c *Conn) compactSent() {
-	live := c.sentOrder[:0]
-	for _, pn := range c.sentOrder {
-		sp := c.sent[pn]
-		if sp == nil || sp.Acked || sp.Lost {
-			delete(c.sent, pn)
-			if sp != nil {
-				c.freeSentPacket(sp)
-			}
+	live := c.sent[:0]
+	for _, sp := range c.sent {
+		if sp.Acked || sp.Lost {
+			c.freeSentPacket(sp)
 			continue
 		}
-		live = append(live, pn)
+		live = append(live, sp)
 	}
-	c.sentOrder = live
+	clear(c.sent[len(live):])
+	c.sent = live
 }
 
 // Receive dispatches a packet arriving from the peer. Wire it to the simnet
@@ -910,33 +884,7 @@ func (c *Conn) receiveAck(p *Packet) {
 		}
 	}
 
-	newlyAcked := c.ackScratch[:0]
-	for _, pn := range c.sentOrder {
-		sp := c.sent[pn]
-		if sp == nil || sp.Acked || sp.Lost {
-			continue
-		}
-		if !sp.HasData {
-			continue
-		}
-		acked := false
-		if c.cfg.Sem.ByteStream {
-			start := sp.Chunk.connOff
-			acked = c.ackedBytes.Contains(start, start+int64(sp.Chunk.len))
-		} else {
-			for _, r := range ai.Ranges {
-				if r.Start <= sp.PN && sp.PN < r.End {
-					acked = true
-					break
-				}
-			}
-		}
-		if acked {
-			sp.Acked = true
-			newlyAcked = append(newlyAcked, sp)
-		}
-	}
-
+	newlyAcked := c.markAcked(ai.Ranges)
 	for _, sp := range newlyAcked {
 		c.inFlight -= sp.Chunk.len
 		if c.inFlight < 0 {
@@ -976,6 +924,41 @@ func (c *Conn) receiveAck(p *Packet) {
 	c.trySend()
 }
 
+// markAcked marks the outstanding records the ack newly covers and returns
+// them in ascending PN order, in the conn's reused scratch slice. In
+// byte-stream mode a record is acked once the SACK scoreboard holds all of
+// its bytes; in packet-number mode once one of ranges holds its PN, matched
+// in a single merge walk of the ascending sent list against ranges, which
+// AppendAbove emits highest first.
+func (c *Conn) markAcked(ranges []Range) []*SentPacket {
+	newlyAcked := c.ackScratch[:0]
+	j := len(ranges) - 1
+	for _, sp := range c.sent {
+		if sp.Acked || sp.Lost {
+			continue
+		}
+		if c.cfg.Sem.ByteStream {
+			start := sp.Chunk.connOff
+			if !c.ackedBytes.Contains(start, start+int64(sp.Chunk.len)) {
+				continue
+			}
+		} else {
+			for j >= 0 && ranges[j].End <= sp.PN {
+				j--
+			}
+			if j < 0 {
+				break
+			}
+			if sp.PN < ranges[j].Start {
+				continue
+			}
+		}
+		sp.Acked = true
+		newlyAcked = append(newlyAcked, sp)
+	}
+	return newlyAcked
+}
+
 // detectLosses applies the segment/packet-threshold rule plus a RACK-style
 // time threshold, re-queues lost data ahead of new data, and signals the
 // controller at most once per recovery epoch.
@@ -994,9 +977,8 @@ func (c *Conn) detectLosses() {
 	}
 
 	lost := c.lossScratch[:0]
-	for _, pn := range c.sentOrder {
-		sp := c.sent[pn]
-		if sp == nil || sp.Acked || sp.Lost || !sp.HasData {
+	for _, sp := range c.sent {
+		if sp.Acked || sp.Lost {
 			continue
 		}
 		isLost := false

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -413,5 +414,132 @@ func TestNetworkDispatchesMultipleConns(t *testing.T) {
 	sim.Run()
 	if finCount != 3 {
 		t.Fatalf("finCount = %d", finCount)
+	}
+}
+
+// TestMarkAckedMatchesNaive checks the packet-number merge walk against a
+// naive "some range holds the PN" scan. The outstanding records ascend with
+// gaps, some already acked or lost; the ack ranges come from a received set
+// with more holes than the 256 ranges an ack carries, so the lowest PNs fall
+// outside every range.
+func TestMarkAckedMatchesNaive(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var rcv RangeSet
+		const top = 3000
+		for pn := int64(0); pn < top; pn++ {
+			if rng.Intn(3) != 0 {
+				rcv.Add(pn, pn+1)
+			}
+		}
+		if rcv.Count() <= 257 {
+			t.Fatalf("seed %d: received set has %d ranges, want > 257", seed, rcv.Count())
+		}
+		ranges := rcv.AppendAbove(nil, 0, 256)
+
+		c := NewConn(simnet.New(seed), Config{CC: newCC(), Sem: quicLikeSem(false)}, func(simnet.Frame) {})
+		wantAcked := map[*SentPacket]bool{}
+		var wantNew []int64
+		for pn := int64(0); pn < top+50; pn += 1 + rng.Int63n(3) {
+			sp := &SentPacket{PN: pn}
+			switch rng.Intn(6) {
+			case 0:
+				sp.Acked = true
+			case 1:
+				sp.Lost = true
+			}
+			c.sent = append(c.sent, sp)
+			inRange := false
+			for _, r := range ranges {
+				if r.Start <= pn && pn < r.End {
+					inRange = true
+				}
+			}
+			if !sp.Acked && !sp.Lost && inRange {
+				wantNew = append(wantNew, pn)
+			}
+			wantAcked[sp] = sp.Acked || (!sp.Lost && inRange)
+		}
+
+		got := c.markAcked(ranges)
+		if len(got) != len(wantNew) {
+			t.Fatalf("seed %d: %d records newly acked, want %d", seed, len(got), len(wantNew))
+		}
+		for i, sp := range got {
+			if sp.PN != wantNew[i] {
+				t.Fatalf("seed %d: newly acked #%d is PN %d, want %d", seed, i, sp.PN, wantNew[i])
+			}
+		}
+		for sp, want := range wantAcked {
+			if sp.Acked != want {
+				t.Fatalf("seed %d: PN %d Acked = %v, want %v", seed, sp.PN, sp.Acked, want)
+			}
+		}
+	}
+}
+
+// TestWholeWriteQueueMatchesMSSSplit checks that carving chunks off whole
+// queued writes transmits exactly what splitting each write into MSS-sized
+// chunks up front did: the same (stream, offset, length, fin, connOff)
+// sequence, in both delivery modes, with two streams' writes interleaved
+// and the congestion window stopping the sender mid-write.
+func TestWholeWriteQueueMatchesMSSSplit(t *testing.T) {
+	type write struct {
+		stream int
+		n      int64
+		fin    bool
+	}
+	mss := int64(congestion.DefaultMSS)
+	writes := []write{
+		{1, 10*mss + 123, false},
+		{2, 700, false},
+		{1, 3*mss + 1, false},
+		{2, 25*mss + 999, true},
+		{1, mss - 1, true},
+	}
+	for _, sem := range []Semantics{tcpLikeSem(false), quicLikeSem(false)} {
+		// The reference: every write split into MSS chunks when queued.
+		var want []chunk
+		offs := map[int]int64{}
+		var connOff int64
+		for _, w := range writes {
+			for done := int64(0); done < w.n; {
+				sz := min(mss, w.n-done)
+				ch := chunk{streamID: w.stream, streamOff: offs[w.stream] + done, len: int(sz),
+					fin: w.fin && done+sz == w.n, connOff: -1}
+				if sem.ByteStream {
+					ch.connOff = connOff
+					connOff += sz
+				}
+				want = append(want, ch)
+				done += sz
+			}
+			offs[w.stream] += w.n
+		}
+
+		env := newPair(t, simnet.DSL, sem, 1)
+		var got []chunk
+		send := env.server.out
+		env.server.out = func(f simnet.Frame) {
+			if p := f.Payload.(*Packet); p.Kind == KindData && !p.Rexmit {
+				got = append(got, chunk{streamID: p.StreamID, streamOff: p.StreamOff,
+					len: p.PayloadLen, fin: p.Fin, connOff: p.ConnOff})
+			}
+			send(f)
+		}
+		env.client.Start()
+		env.server.Start()
+		for _, w := range writes {
+			env.server.WriteStream(w.stream, w.n, w.fin)
+		}
+		env.sim.Run()
+		if len(got) != len(want) {
+			t.Fatalf("ByteStream=%v: %d chunks sent, want %d", sem.ByteStream, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ByteStream=%v: chunk #%d = %+v, want %+v", sem.ByteStream, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -34,7 +34,9 @@ type AckInfo struct {
 	// Unused (-1) in packet-number mode.
 	CumAck int64
 	// Ranges are SACK blocks (TCP: connection-byte ranges, at most 3) or
-	// QUIC ack ranges (packet numbers, effectively unlimited).
+	// QUIC ack ranges (packet numbers, effectively unlimited). QUIC ranges
+	// are disjoint and highest first, as RangeSet.AppendAbove emits them;
+	// the sender's ack matching walks them from the last and relies on it.
 	Ranges []Range
 	// RcvWindow advertises the receiver's remaining buffer in bytes.
 	RcvWindow int64
@@ -49,7 +51,7 @@ type Packet struct {
 
 	// PN is the sender-assigned packet number (monotonic, never reused,
 	// QUIC-style). TCP loss detection runs on byte ranges instead, but PNs
-	// still key the sent-packet map.
+	// still order the sender's sent list.
 	PN int64
 
 	// Handshake fields.
@@ -118,7 +120,8 @@ func (p *Packet) String() string {
 }
 
 // chunk is a unit of queued, not-yet-transmitted (or queued-again for
-// retransmission) stream data.
+// retransmission) stream data: a whole write in the send queue, at most one
+// MSS once carved off for transmission.
 type chunk struct {
 	streamID  int
 	streamOff int64
@@ -128,19 +131,48 @@ type chunk struct {
 	rexmit    bool
 }
 
+// chunkQueue is a slice of chunks consumed from head, so draining does not
+// reallocate. The consumed prefix is reclaimed before the slice grows, once
+// it is at least half the slice, so capacity stays bounded by the live
+// contents.
+type chunkQueue struct {
+	buf  []chunk
+	head int
+}
+
+func (q *chunkQueue) len() int { return len(q.buf) - q.head }
+
+func (q *chunkQueue) front() *chunk { return &q.buf[q.head] }
+
+func (q *chunkQueue) pop() {
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+}
+
+func (q *chunkQueue) compact() {
+	if q.head > 0 && q.head*2 >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+}
+
+func (q *chunkQueue) push(ch chunk) {
+	q.compact()
+	q.buf = append(q.buf, ch)
+}
+
 // SentPacket records an in-flight packet for loss detection, RTT sampling
 // and delivery-rate estimation.
 type SentPacket struct {
 	PN     int64
-	Size   int   // wire size including overhead
 	SentAt int64 // virtual ns
 
-	// Retransmittable payload descriptor (data packets only).
-	HasData bool
-	Chunk   chunk
-
-	Handshake     bool
-	HandshakeStep int
+	// Chunk is the retransmittable payload descriptor.
+	Chunk chunk
 
 	// DeliveredAtSend snapshots the sender's delivered-bytes counter for
 	// BBR-style bandwidth sampling.
