@@ -75,8 +75,15 @@ type BBR struct {
 	round      uint64        // round-trip counter
 	roundStart time.Duration // when the current round began (approximation)
 
-	bwFilter  []bwSampleEntry  // windowed max of delivery-rate samples
-	rttFilter []rttSampleEntry // windowed min of RTT samples
+	// The windowed max-bandwidth and min-RTT filters are monotonic deques:
+	// the live entries bwFilter[bwHead:] (rttFilter[rttHead:]) are, oldest
+	// first, the samples in the window that no later sample matches or
+	// beats, so bw strictly falls (rtt strictly rises) from front to back
+	// and the front entry is the filter's answer.
+	bwFilter  []bwSampleEntry
+	bwHead    int
+	rttFilter []rttSampleEntry
+	rttHead   int
 
 	pacingGain float64
 	cwndGain   float64
@@ -89,10 +96,9 @@ type BBR struct {
 	cycleIndex    int
 	cycleStart    time.Duration
 
-	cwnd          int
-	priorCwnd     int
-	minRTTStamp   time.Duration
-	idleRestarted bool
+	cwnd        int
+	priorCwnd   int
+	minRTTStamp time.Duration
 }
 
 // NewBBR returns a BBRv1 controller.
@@ -138,24 +144,18 @@ func (b *BBR) InSlowStart() bool { return b.state == bbrStartup }
 
 // btlBw returns the windowed maximum bandwidth estimate in bytes/sec.
 func (b *BBR) btlBw() float64 {
-	var max float64
-	for _, e := range b.bwFilter {
-		if e.bw > max {
-			max = e.bw
-		}
+	if b.bwHead == len(b.bwFilter) {
+		return 0
 	}
-	return max
+	return b.bwFilter[b.bwHead].bw
 }
 
 // minRTT returns the windowed minimum RTT estimate.
 func (b *BBR) minRTT() time.Duration {
-	var min time.Duration
-	for _, e := range b.rttFilter {
-		if min == 0 || e.rtt < min {
-			min = e.rtt
-		}
+	if b.rttHead == len(b.rttFilter) {
+		return 0
 	}
-	return min
+	return b.rttFilter[b.rttHead].rtt
 }
 
 // bdp returns the estimated bandwidth-delay product in bytes.
@@ -179,12 +179,8 @@ func (b *BBR) PacingRate() float64 {
 	return b.pacingGain * bw
 }
 
-// OnPacketSent implements Controller.
-func (b *BBR) OnPacketSent(now time.Duration, bytesInFlight, size int) {
-	if b.idleRestarted {
-		b.idleRestarted = false
-	}
-}
+// OnPacketSent implements Controller. BBR's model is driven by acks alone.
+func (b *BBR) OnPacketSent(now time.Duration, bytesInFlight, size int) {}
 
 // OnAck implements Controller.
 func (b *BBR) OnAck(now time.Duration, ackedBytes int, rtt time.Duration, bwSample float64, bytesInFlight int) {
@@ -206,38 +202,50 @@ func (b *BBR) OnAck(now time.Duration, ackedBytes int, rtt time.Duration, bwSamp
 		b.checkFullPipe()
 	}
 
-	// Expired samples are compacted to the front of the same backing array
-	// (never resliced off it): append then reuses the freed tail capacity,
-	// so the steady-state ack path stops allocating once the filters reach
-	// their windowed high-water mark.
+	// A new sample first evicts the entries it dominates from the back,
+	// then the entries that left the window from the front. Expiry is lazy,
+	// run only here, so between samples the filters answer exactly as a scan
+	// of every sample appended since the last expiry would.
 	if bwSample > 0 {
-		b.bwFilter = append(b.bwFilter, bwSampleEntry{round: b.round, bw: bwSample})
-		// Expire samples outside the round window.
-		cut := 0
-		for cut < len(b.bwFilter) && b.bwFilter[cut].round+bbrBtlBwWindowRounds < b.round {
-			cut++
+		q, n := b.bwFilter, len(b.bwFilter)
+		for n > b.bwHead && q[n-1].bw <= bwSample {
+			n--
 		}
-		if cut > 0 {
-			n := copy(b.bwFilter, b.bwFilter[cut:])
-			b.bwFilter = b.bwFilter[:n]
+		h := b.bwHead
+		for h < n && q[h].round+bbrBtlBwWindowRounds < b.round {
+			h++
 		}
+		b.bwFilter, b.bwHead = appendDeque(q[:n], h, bwSampleEntry{round: b.round, bw: bwSample})
 	}
 	if rtt > 0 {
-		b.rttFilter = append(b.rttFilter, rttSampleEntry{at: now, rtt: rtt})
-		cut := 0
-		for cut < len(b.rttFilter) && b.rttFilter[cut].at+bbrMinRTTWindow < now {
-			cut++
+		q, n := b.rttFilter, len(b.rttFilter)
+		for n > b.rttHead && q[n-1].rtt >= rtt {
+			n--
 		}
-		if cut > 0 {
-			n := copy(b.rttFilter, b.rttFilter[cut:])
-			b.rttFilter = b.rttFilter[:n]
+		h := b.rttHead
+		for h < n && q[h].at+bbrMinRTTWindow < now {
+			h++
 		}
+		b.rttFilter, b.rttHead = appendDeque(q[:n], h, rttSampleEntry{at: now, rtt: rtt})
 		if rtt <= b.minRTT() {
 			b.minRTTStamp = now
 		}
 	}
 
 	b.advanceStateMachine(now, bytesInFlight)
+}
+
+// appendDeque appends e to the deque q[head:] and returns the new slice and
+// head. Once the dropped prefix is at least half the slice it is reclaimed
+// by moving the live entries to the front of the same backing array, so
+// capacity stays bounded by the live window and the steady-state ack path
+// allocates nothing.
+func appendDeque[T any](q []T, head int, e T) ([]T, int) {
+	if head > 0 && head*2 >= len(q) {
+		q = q[:copy(q, q[head:])]
+		head = 0
+	}
+	return append(q, e), head
 }
 
 func (b *BBR) currentRTT(sample time.Duration) time.Duration {
@@ -321,7 +329,5 @@ func (b *BBR) OnRTO(now time.Duration) {
 }
 
 // OnIdleRestart implements Controller. BBR restarts from the paced rate, no
-// window collapse.
-func (b *BBR) OnIdleRestart(now time.Duration) {
-	b.idleRestarted = true
-}
+// window collapse, so there is nothing to do.
+func (b *BBR) OnIdleRestart(now time.Duration) {}

@@ -1,6 +1,8 @@
 package congestion
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -204,6 +206,155 @@ func TestBBRBtlBwExpiresOldSamples(t *testing.T) {
 	}
 	if got := b.btlBw(); got != 1e6 {
 		t.Fatalf("stale max not expired: %v", got)
+	}
+}
+
+// naiveBBRFilters is the scan-everything model of BBR's windowed filters:
+// every sample appended since the last expiry, expired by the same lazy
+// prefix rules, answered by a full scan.
+type naiveBBRFilters struct {
+	bw  []bwSampleEntry
+	rtt []rttSampleEntry
+}
+
+func (f *naiveBBRFilters) onAck(round uint64, now, rtt time.Duration, bw float64) (expired int) {
+	if bw > 0 {
+		f.bw = append(f.bw, bwSampleEntry{round: round, bw: bw})
+		for len(f.bw) > 0 && f.bw[0].round+bbrBtlBwWindowRounds < round {
+			f.bw = f.bw[1:]
+			expired++
+		}
+	}
+	if rtt > 0 {
+		f.rtt = append(f.rtt, rttSampleEntry{at: now, rtt: rtt})
+		for len(f.rtt) > 0 && f.rtt[0].at+bbrMinRTTWindow < now {
+			f.rtt = f.rtt[1:]
+			expired++
+		}
+	}
+	return expired
+}
+
+// deques returns what the monotonic deques must hold: the window's samples
+// that no later sample matches or beats, oldest first.
+func (f *naiveBBRFilters) deques() ([]bwSampleEntry, []rttSampleEntry) {
+	var bw []bwSampleEntry
+	for i, e := range f.bw {
+		kept := true
+		for _, later := range f.bw[i+1:] {
+			kept = kept && later.bw < e.bw
+		}
+		if kept {
+			bw = append(bw, e)
+		}
+	}
+	var rtt []rttSampleEntry
+	for i, e := range f.rtt {
+		kept := true
+		for _, later := range f.rtt[i+1:] {
+			kept = kept && later.rtt > e.rtt
+		}
+		if kept {
+			rtt = append(rtt, e)
+		}
+	}
+	return bw, rtt
+}
+
+func (f *naiveBBRFilters) max() float64 {
+	var max float64
+	for _, e := range f.bw {
+		if e.bw > max {
+			max = e.bw
+		}
+	}
+	return max
+}
+
+func (f *naiveBBRFilters) min() time.Duration {
+	var min time.Duration
+	for _, e := range f.rtt {
+		if min == 0 || e.rtt < min {
+			min = e.rtt
+		}
+	}
+	return min
+}
+
+// TestBBRFiltersMatchNaive drives random ack sequences — repeated equal
+// samples, acks without samples, gaps longer than the 10 s min-RTT window
+// and runs of sample-less rounds — through the deque filters. After every
+// ack the deques must hold exactly the non-dominated samples of the naive
+// window, and the controller must agree with a reference controller whose
+// filters are rebuilt from the naive window around every ack, on btlBw,
+// minRTT, CWND, PacingRate and State.
+func TestBBRFiltersMatchNaive(t *testing.T) {
+	bws := []float64{5e5, 1e6, 2e6, 2e6, 3e6}
+	rtts := []time.Duration{20 * msTest, 30 * msTest, 40 * msTest, 40 * msTest, 80 * msTest}
+	var expired, deepest int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{InitialWindowSegments: 10, MSS: 1460}
+		b, ref := NewBBR(cfg), NewBBR(cfg)
+		var naive naiveBBRFilters
+		load := func() {
+			ref.bwFilter, ref.rttFilter = naive.deques()
+			ref.bwHead, ref.rttHead = 0, 0
+		}
+		now := time.Duration(0)
+		quiet := 0 // remaining acks of a sample-less run
+		for step := 0; step < 2000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 3:
+				now += 10*time.Second + time.Duration(rng.Intn(5000))*msTest
+			case r < 10:
+				// same instant as the previous ack
+			default:
+				now += time.Duration(1+rng.Intn(90)) * msTest
+			}
+			if quiet == 0 && rng.Intn(50) == 0 {
+				quiet = 5 + rng.Intn(15)
+			}
+			var bw float64
+			var rtt time.Duration
+			if quiet > 0 {
+				quiet--
+				now += 100 * msTest // a round passes per ack
+			} else {
+				if rng.Intn(6) > 0 {
+					bw = bws[rng.Intn(len(bws))]
+				}
+				if rng.Intn(6) > 0 {
+					rtt = rtts[rng.Intn(len(rtts))]
+				}
+			}
+			inFlight := rng.Intn(200_000)
+
+			load()
+			b.OnAck(now, 1460, rtt, bw, inFlight)
+			ref.OnAck(now, 1460, rtt, bw, inFlight)
+			expired += naive.onAck(ref.round, now, rtt, bw)
+			load()
+
+			wantBw, wantRTT := naive.deques()
+			gotBw, gotRTT := b.bwFilter[b.bwHead:], b.rttFilter[b.rttHead:]
+			if !slices.Equal(gotBw, wantBw) || !slices.Equal(gotRTT, wantRTT) {
+				t.Fatalf("seed %d step %d: deques bw %v rtt %v, want %v and %v",
+					seed, step, gotBw, gotRTT, wantBw, wantRTT)
+			}
+			deepest = max(deepest, len(gotBw), len(gotRTT))
+			if b.btlBw() != naive.max() || b.minRTT() != naive.min() {
+				t.Fatalf("seed %d step %d: btlBw %v minRTT %v, naive %v and %v",
+					seed, step, b.btlBw(), b.minRTT(), naive.max(), naive.min())
+			}
+			if b.CWND() != ref.CWND() || b.PacingRate() != ref.PacingRate() || b.State() != ref.State() {
+				t.Fatalf("seed %d step %d: cwnd %d rate %v state %s, reference %d %v %s",
+					seed, step, b.CWND(), b.PacingRate(), b.State(), ref.CWND(), ref.PacingRate(), ref.State())
+			}
+		}
+	}
+	if expired == 0 || deepest < 3 {
+		t.Fatalf("sequences too tame: %d expiries, deepest deque %d", expired, deepest)
 	}
 }
 

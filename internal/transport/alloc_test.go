@@ -40,3 +40,51 @@ func TestTransportSendPathAllocs(t *testing.T) {
 		t.Fatalf("transport send path allocates %.1f per %d KiB write, want <= 32", avg, chunk>>10)
 	}
 }
+
+// TestSentListSteadyStateAllocFree pins the sender's ack cycle on a warm
+// conn at zero allocations. Each cycle sends eight packets, acks two from
+// the middle of the sent list (a live head, so the list shifts the live
+// records behind them down) and then acks the rest (the whole list pops off
+// the head); loss detection, the RTO timer and the refill of the window run
+// on every ack.
+func TestSentListSteadyStateAllocFree(t *testing.T) {
+	sim := simnet.New(1)
+	pool := &packetPool{}
+	c := NewConn(sim, Config{CC: congestion.NewCubic(congestion.Config{InitialWindowSegments: 10}), Sem: Semantics{}},
+		func(f simnet.Frame) { pool.Put(f.Payload.(*Packet)) })
+	c.pool = pool
+	c.Start()
+	ack := func(start, end int64) {
+		p := pool.Get()
+		p.Kind = KindAck
+		p.ackStore.CumAck = -1
+		p.ackStore.RcvWindow = 1 << 20
+		p.ackStore.Ranges = append(p.ackStore.Ranges[:0], Range{start, end})
+		p.Ack = &p.ackStore
+		c.Receive(p)
+		pool.Put(p)
+	}
+	cycle := func() {
+		first := c.nextPN
+		c.WriteStream(1, 8*int64(c.cfg.MSS), false)
+		if c.sent.len() != 8 {
+			t.Fatalf("%d packets outstanding, want 8", c.sent.len())
+		}
+		sim.RunUntil(sim.Now() + 10*time.Millisecond)
+		ack(first+1, first+3)
+		if c.sent.len() != 6 {
+			t.Fatalf("%d packets outstanding after the middle ack, want 6", c.sent.len())
+		}
+		sim.RunUntil(sim.Now() + 10*time.Millisecond)
+		ack(first, first+8)
+		if c.sent.len() != 0 {
+			t.Fatalf("%d packets outstanding after the full ack, want 0", c.sent.len())
+		}
+	}
+	for range 64 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("sent-list ack cycle allocates %.1f times, want 0", allocs)
+	}
+}

@@ -129,14 +129,14 @@ type Conn struct {
 	// Send state. queue holds one entry per WriteStream call; nextChunk
 	// carves MSS-sized chunks off its head.
 	nextPN int64
-	queue  chunkQueue
+	queue  fifo[chunk]
 	// rexmitQ holds chunks awaiting retransmission, lowest sequence first —
 	// the SACK-scoreboard rule that the oldest hole is repaired first.
-	rexmitQ     chunkQueue
+	rexmitQ     fifo[chunk]
 	connSendOff int64
 	// sent holds the outstanding data packets in ascending PN order; acked
 	// and lost records are dropped by compactSent.
-	sent         []*SentPacket
+	sent         fifo[*SentPacket]
 	inFlight     int
 	delivered    int64
 	largestAcked int64
@@ -167,6 +167,7 @@ type Conn struct {
 	rcvDeliveredTo int64
 	rcvPN          RangeSet // packet-number mode: received PNs
 	streams        map[int]*recvStream
+	rcvHeld        int64 // packet-number mode: stream bytes received, not yet delivered
 	ackPending     int
 	ackTimer       simnet.Timer
 	lastArrival    int64 // connOff of the newest data (first SACK block)
@@ -562,7 +563,7 @@ func (c *Conn) sendChunk(ch chunk) {
 	sp.SentAt = int64(c.sim.Now())
 	sp.Chunk = ch
 	sp.DeliveredAtSend = c.delivered
-	c.sent = append(c.sent, sp)
+	c.sent.push(sp)
 	c.inFlight += ch.len
 	if end := ch.connOff + int64(ch.len); end > c.highestSentOff {
 		c.highestSentOff = end
@@ -605,8 +606,9 @@ func (c *Conn) onRTO() {
 		// collapsing the window. Its (s)ack restarts normal loss detection
 		// for the rest of the tail.
 		c.tlpFired = true
-		for i := len(c.sent) - 1; i >= 0; i-- {
-			sp := c.sent[i]
+		live := c.sent.live()
+		for i := len(live) - 1; i >= 0; i-- {
+			sp := live[i]
 			if sp.Acked || sp.Lost {
 				continue
 			}
@@ -627,7 +629,7 @@ func (c *Conn) onRTO() {
 	c.rtt.Backoff++
 	c.cfg.CC.OnRTO(c.sim.Now())
 	// Re-queue every outstanding chunk, oldest first, ahead of new data.
-	for _, sp := range c.sent {
+	for _, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
 		}
@@ -674,18 +676,37 @@ func (c *Conn) enqueueRexmit(ch chunk) {
 }
 
 // compactSent drops acked/lost records from the sent list, returning them to
-// the conn's free list.
+// the conn's free list. A dead prefix is popped off the head without moving
+// a record; live records are shifted down only from the first dead record
+// behind a live one.
 func (c *Conn) compactSent() {
-	live := c.sent[:0]
-	for _, sp := range c.sent {
+	q := &c.sent
+	for q.len() > 0 {
+		sp := *q.front()
+		if !sp.Acked && !sp.Lost {
+			break
+		}
+		c.freeSentPacket(sp)
+		q.pop()
+	}
+	live := q.live()
+	i := 0
+	for i < len(live) && !live[i].Acked && !live[i].Lost {
+		i++
+	}
+	if i == len(live) {
+		return
+	}
+	w := i
+	for _, sp := range live[i:] {
 		if sp.Acked || sp.Lost {
 			c.freeSentPacket(sp)
 			continue
 		}
-		live = append(live, sp)
+		live[w] = sp
+		w++
 	}
-	clear(c.sent[len(live):])
-	c.sent = live
+	q.buf = q.buf[:q.head+w]
 }
 
 // Receive dispatches a packet arriving from the peer. Wire it to the simnet
@@ -735,7 +756,9 @@ func (c *Conn) receiveData(p *Packet) {
 		}
 		c.rcvPN.Add(p.PN, p.PN+1)
 		st := c.stream(p.StreamID)
+		covered := st.ranges.Covered()
 		st.ranges.Add(p.StreamOff, p.StreamOff+int64(p.PayloadLen))
+		c.rcvHeld += st.ranges.Covered() - covered
 		if p.Fin {
 			st.finOff = p.StreamOff + int64(p.PayloadLen)
 		}
@@ -743,6 +766,7 @@ func (c *Conn) receiveData(p *Packet) {
 		if newTo > st.deliveredTo {
 			adv := newTo - st.deliveredTo
 			st.deliveredTo = newTo
+			c.rcvHeld -= adv
 			c.Stats.BytesDelivered += adv
 			if c.OnStreamData != nil {
 				c.OnStreamData(p.StreamID, newTo, st.finOff >= 0 && newTo >= st.finOff)
@@ -781,13 +805,9 @@ func (c *Conn) deliverToStream(streamID int, n int64, fin bool) {
 // rcvWindow computes the advertised flow-control window: buffer minus bytes
 // held in reassembly (received but not yet deliverable in order).
 func (c *Conn) rcvWindow() int64 {
-	var held int64
+	held := c.rcvHeld
 	if c.cfg.Sem.ByteStream {
 		held = c.rcvConn.Covered() - c.rcvDeliveredTo
-	} else {
-		for _, st := range c.streams {
-			held += st.ranges.Covered() - st.deliveredTo
-		}
 	}
 	w := c.cfg.RecvBuf - held
 	if w < int64(c.cfg.MSS) {
@@ -933,7 +953,7 @@ func (c *Conn) receiveAck(p *Packet) {
 func (c *Conn) markAcked(ranges []Range) []*SentPacket {
 	newlyAcked := c.ackScratch[:0]
 	j := len(ranges) - 1
-	for _, sp := range c.sent {
+	for _, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
 		}
@@ -961,7 +981,8 @@ func (c *Conn) markAcked(ranges []Range) []*SentPacket {
 
 // detectLosses applies the segment/packet-threshold rule plus a RACK-style
 // time threshold, re-queues lost data ahead of new data, and signals the
-// controller at most once per recovery epoch.
+// controller at most once per recovery epoch. It walks the sent list only as
+// far as a rule can reach.
 func (c *Conn) detectLosses() {
 	now := c.sim.Now()
 	thresholdBytes := int64(c.cfg.Sem.LossThresholdSegments * c.cfg.MSS)
@@ -977,9 +998,21 @@ func (c *Conn) detectLosses() {
 	}
 
 	lost := c.lossScratch[:0]
-	for _, sp := range c.sent {
+	for _, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
+		}
+		// The walk ends at the first record no rule can reach, since no
+		// later one is reachable either. Both rules need a newer packet
+		// acked, and later records have higher PNs. In byte-stream mode the
+		// threshold rule also reaches a record far enough below the highest
+		// SACKed byte; a record's bytes lie below those of every first
+		// transmission sent after it (first transmissions leave in connOff
+		// order, retransmissions resend earlier bytes), so past a record
+		// that is not, no later one is.
+		if sp.PN >= c.largestAcked && (!c.cfg.Sem.ByteStream ||
+			sp.Chunk.connOff+int64(sp.Chunk.len)+thresholdBytes > highestSacked) {
+			break
 		}
 		isLost := false
 		if c.cfg.Sem.ByteStream {

@@ -432,8 +432,8 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 				rcv.Add(pn, pn+1)
 			}
 		}
-		if rcv.Count() <= 257 {
-			t.Fatalf("seed %d: received set has %d ranges, want > 257", seed, rcv.Count())
+		if len(rcv.rs) <= 257 {
+			t.Fatalf("seed %d: received set has %d ranges, want > 257", seed, len(rcv.rs))
 		}
 		ranges := rcv.AppendAbove(nil, 0, 256)
 
@@ -448,7 +448,7 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 			case 1:
 				sp.Lost = true
 			}
-			c.sent = append(c.sent, sp)
+			c.sent.push(sp)
 			inRange := false
 			for _, r := range ranges {
 				if r.Start <= pn && pn < r.End {
@@ -542,4 +542,184 @@ func TestWholeWriteQueueMatchesMSSSplit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDetectLossesMatchesFullWalk checks the early-exit loss walk against the
+// two rules applied to every outstanding record. Both modes: in byte-stream
+// mode retransmissions (higher PNs, lower connection offsets) are mixed into
+// the first transmissions, and the highest SACKed byte sits on, just below
+// or just above a first transmission's threshold edge; largestAcked sits on
+// or beside an outstanding record's PN.
+func TestDetectLossesMatchesFullWalk(t *testing.T) {
+	mss := congestion.DefaultMSS
+	lostTotal := 0
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sem := quicLikeSem(false)
+		if seed%2 == 0 {
+			sem = tcpLikeSem(false)
+		}
+		sim := simnet.New(seed)
+		c := NewConn(sim, Config{CC: newCC(), Sem: sem}, func(simnet.Frame) {})
+		c.rtt.AddSample(20 * time.Millisecond)
+		thr := int64(sem.LossThresholdSegments * mss)
+
+		var recs []*SentPacket
+		var firsts []chunk
+		var connOff, pn int64
+		var clock time.Duration
+		for i := 0; i < 60; i++ {
+			pn += 1 + rng.Int63n(2)
+			clock += time.Duration(rng.Intn(4)) * time.Millisecond
+			ch := chunk{streamID: 1, streamOff: int64(i * mss), len: mss, connOff: -1}
+			if sem.ByteStream {
+				if len(firsts) > 0 && rng.Intn(4) == 0 {
+					ch = firsts[rng.Intn(len(firsts))]
+					ch.rexmit = true
+				} else {
+					ch.len = 1 + rng.Intn(mss)
+					ch.connOff = connOff
+					connOff += int64(ch.len)
+					firsts = append(firsts, ch)
+				}
+			}
+			sp := &SentPacket{PN: pn, SentAt: int64(clock), Chunk: ch}
+			switch rng.Intn(6) {
+			case 0:
+				sp.Acked = true
+			case 1:
+				sp.Lost = true
+			default:
+				c.inFlight += ch.len
+			}
+			c.sent.push(sp)
+			recs = append(recs, sp)
+		}
+		c.largestAcked = recs[rng.Intn(len(recs))].PN + rng.Int63n(3) - 1
+		if rng.Intn(10) == 0 {
+			c.largestAcked = -1
+		}
+		if sem.ByteStream && rng.Intn(8) > 0 {
+			f := firsts[rng.Intn(len(firsts))]
+			edge := f.connOff + int64(f.len) + thr + rng.Int63n(3) - 1
+			c.ackedBytes.Add(edge-int64(mss), edge)
+		}
+		sim.RunUntil(clock + time.Duration(rng.Intn(60))*time.Millisecond)
+
+		// The full walk: every outstanding record against both rules.
+		now := sim.Now()
+		timeThresh := c.rtt.SRTT() * 5 / 4
+		var highestSacked int64 = -1
+		if r, ok := c.ackedBytes.Last(); ok {
+			highestSacked = r.End
+		}
+		want := map[*SentPacket]bool{}
+		wantInFlight := 0
+		for _, sp := range recs {
+			if sp.Acked || sp.Lost {
+				want[sp] = sp.Lost
+				continue
+			}
+			lost := false
+			if sem.ByteStream {
+				lost = !sp.Chunk.rexmit && highestSacked >= 0 &&
+					sp.Chunk.connOff+int64(sp.Chunk.len)+thr <= highestSacked
+			} else {
+				lost = c.largestAcked >= sp.PN+int64(sem.LossThresholdSegments)
+			}
+			if c.largestAcked > sp.PN && now-time.Duration(sp.SentAt) > timeThresh {
+				lost = true
+			}
+			want[sp] = lost
+			if lost {
+				lostTotal++
+			} else {
+				wantInFlight += sp.Chunk.len
+			}
+		}
+
+		c.detectLosses()
+		for _, sp := range recs {
+			if sp.Lost != want[sp] {
+				t.Fatalf("seed %d (ByteStream=%v): PN %d (rexmit %v, connOff %d) Lost = %v, full walk says %v; largestAcked %d highestSacked %d",
+					seed, sem.ByteStream, sp.PN, sp.Chunk.rexmit, sp.Chunk.connOff, sp.Lost, want[sp], c.largestAcked, highestSacked)
+			}
+		}
+		if c.inFlight != wantInFlight {
+			t.Fatalf("seed %d: inFlight %d after loss detection, want %d", seed, c.inFlight, wantInFlight)
+		}
+	}
+	if lostTotal == 0 {
+		t.Fatal("no record was ever declared lost")
+	}
+}
+
+// TestRcvWindowMatchesRecount checks the advertised window, and in
+// packet-number mode the incrementally kept held-byte count, against a
+// recount over every reassembly range after every packet the receiver
+// takes in, for a lossy transfer of three interleaved streams in both
+// delivery modes.
+func TestRcvWindowMatchesRecount(t *testing.T) {
+	for _, sem := range []Semantics{quicLikeSem(true), tcpLikeSem(true)} {
+		sim := simnet.New(7)
+		var client, server *Conn
+		maxHeld := int64(0)
+		path := simnet.NewPath(sim, simnet.MSS,
+			func(f simnet.Frame) { server.Receive(f.Payload.(*Packet)) },
+			func(f simnet.Frame) {
+				client.Receive(f.Payload.(*Packet))
+				held := recountHeld(client)
+				if !sem.ByteStream && client.rcvHeld != held {
+					t.Fatalf("rcvHeld = %d, recount %d", client.rcvHeld, held)
+				}
+				if got, want := client.rcvWindow(), max(client.cfg.RecvBuf-held, int64(client.cfg.MSS)); got != want {
+					t.Fatalf("ByteStream=%v: rcvWindow = %d, recount gives %d", sem.ByteStream, got, want)
+				}
+				maxHeld = max(maxHeld, held)
+			})
+		cfg := Config{MSS: congestion.DefaultMSS, RecvBuf: 1 << 22, Sem: sem}
+		ccfg, scfg := cfg, cfg
+		ccfg.CC, scfg.CC = newCC(), newCC()
+		ccfg.Role, scfg.Role = RoleClient, RoleServer
+		client = NewConn(sim, ccfg, func(f simnet.Frame) { path.Up.Send(f) })
+		server = NewConn(sim, scfg, func(f simnet.Frame) { path.Down.Send(f) })
+		done := 0
+		client.OnStreamData = func(_ int, _ int64, fin bool) {
+			if fin {
+				done++
+			}
+		}
+		client.Start()
+		server.Start()
+		for id := 1; id <= 3; id++ {
+			server.WriteStream(id, 150_000+int64(id)*777, true)
+		}
+		sim.RunUntil(5 * time.Minute)
+		if done != 3 {
+			t.Fatalf("ByteStream=%v: %d of 3 streams finished", sem.ByteStream, done)
+		}
+		if maxHeld == 0 {
+			t.Fatalf("ByteStream=%v: loss never left bytes held in reassembly", sem.ByteStream)
+		}
+	}
+}
+
+// recountHeld sums the bytes received but not yet delivered in order, from
+// the reassembly ranges themselves.
+func recountHeld(c *Conn) int64 {
+	covered := func(s *RangeSet) int64 {
+		var n int64
+		for _, r := range s.rs {
+			n += r.Len()
+		}
+		return n
+	}
+	if c.cfg.Sem.ByteStream {
+		return covered(&c.rcvConn) - c.rcvDeliveredTo
+	}
+	var held int64
+	for _, st := range c.streams {
+		held += covered(&st.ranges) - st.deliveredTo
+	}
+	return held
 }

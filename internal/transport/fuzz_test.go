@@ -7,8 +7,10 @@ import (
 // FuzzRangeSetAdd is a go test -fuzz-compatible target for the reassembly
 // RangeSet: the fuzzer's byte string is decoded into a sequence of Add
 // operations over a small sequence space, and the set is checked after every
-// step against a naive boolean-array model — coverage, cumulative-ack point,
-// merged-range invariants, and SACK-block extraction must all agree.
+// step against a naive boolean-array model — coverage, cumulative-ack point
+// from every sequence number, merged-range invariants, containment of
+// intervals around every inserted range's edges, and SACK-block extraction
+// must all agree.
 //
 // Run the seeds as a normal test (go test), or explore with:
 //
@@ -22,25 +24,36 @@ func FuzzRangeSetAdd(f *testing.F) {
 		const space = 512 // model sequence space
 		var s RangeSet
 		model := make([]bool, space)
+		// Containment probes: every inserted interval and its neighbours
+		// one unit wider, narrower or shifted at either edge, so the binary
+		// search meets each range boundary from both sides.
+		probes := [][2]int64{{0, 1}, {10, 20}, {100, 130}, {500, 512}}
 		for i := 0; i+1 < len(data); i += 2 {
 			start := int64(data[i]) * 2
 			length := int64(data[i+1]) % 64
-			end := start + length
-			if end > space {
-				end = space
+			end := min(start+length, space)
+			for _, d := range [][2]int64{{0, 0}, {-1, 0}, {1, 0}, {0, -1}, {0, 1}, {-1, 1}, {1, -1}} {
+				if a, b := start+d[0], end+d[1]; 0 <= a && a < b && b <= space {
+					probes = append(probes, [2]int64{a, b})
+				}
 			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			start := int64(data[i]) * 2
+			length := int64(data[i+1]) % 64
+			end := min(start+length, space)
 			s.Add(start, end)
 			for q := start; q < end; q++ {
 				model[q] = true
 			}
-			checkRangeSetAgainstModel(t, &s, model)
+			checkRangeSetAgainstModel(t, &s, model, probes)
 		}
 	})
 }
 
-// checkRangeSetAgainstModel verifies every public RangeSet query against the
-// boolean-array oracle.
-func checkRangeSetAgainstModel(t *testing.T, s *RangeSet, model []bool) {
+// checkRangeSetAgainstModel verifies every RangeSet query against the
+// boolean-array oracle, Contains on the given probes.
+func checkRangeSetAgainstModel(t *testing.T, s *RangeSet, model []bool, probes [][2]int64) {
 	t.Helper()
 	// Covered must equal the popcount of the model.
 	var want int64
@@ -54,7 +67,7 @@ func checkRangeSetAgainstModel(t *testing.T, s *RangeSet, model []bool) {
 	}
 	// Ranges must be sorted, non-overlapping, non-adjacent, and exactly
 	// reproduce the model.
-	rs := s.Ranges()
+	rs := s.rs
 	var prevEnd int64 = -1
 	covered := make([]bool, len(model))
 	for _, r := range rs {
@@ -74,16 +87,20 @@ func checkRangeSetAgainstModel(t *testing.T, s *RangeSet, model []bool) {
 			t.Fatalf("seq %d: model %v, set %v (%v)", q, model[q], covered[q], rs)
 		}
 	}
-	// CumulativeFrom(0) is the length of the contiguous prefix.
-	var prefix int64
-	for prefix < int64(len(model)) && model[prefix] {
-		prefix++
+	// CumulativeFrom(q) is the end of the contiguous run starting at q, or
+	// q itself at a hole; CumulativeFrom(0) is the cumulative-ack point.
+	run := int64(len(model))
+	for q := run; q >= 0; q-- {
+		if q < int64(len(model)) && !model[q] {
+			run = q
+		}
+		if got := s.CumulativeFrom(q); got != run {
+			t.Fatalf("CumulativeFrom(%d) = %d, model run ends at %d", q, got, run)
+		}
 	}
-	if got := s.CumulativeFrom(0); got != prefix {
-		t.Fatalf("CumulativeFrom(0) = %d, model prefix %d", got, prefix)
-	}
-	// Contains must agree with the model on a few probes.
-	for _, probe := range [][2]int64{{0, 1}, {10, 20}, {100, 130}, {500, 512}} {
+	prefix := s.CumulativeFrom(0)
+	// Contains must agree with the model on every probe.
+	for _, probe := range probes {
 		all := true
 		for q := probe[0]; q < probe[1]; q++ {
 			if !model[q] {
@@ -97,9 +114,9 @@ func checkRangeSetAgainstModel(t *testing.T, s *RangeSet, model []bool) {
 	}
 	// SACK extraction: at most 3 blocks, strictly above the cumulative
 	// point, highest first, each block fully covered.
-	blocks := s.Above(prefix, 3)
+	blocks := s.AppendAbove(nil, prefix, 3)
 	if len(blocks) > 3 {
-		t.Fatalf("Above returned %d blocks", len(blocks))
+		t.Fatalf("AppendAbove returned %d blocks", len(blocks))
 	}
 	var lastStart = int64(len(model)) + 1
 	for _, b := range blocks {

@@ -131,20 +131,24 @@ type chunk struct {
 	rexmit    bool
 }
 
-// chunkQueue is a slice of chunks consumed from head, so draining does not
-// reallocate. The consumed prefix is reclaimed before the slice grows, once
-// it is at least half the slice, so capacity stays bounded by the live
-// contents.
-type chunkQueue struct {
-	buf  []chunk
+// fifo is a slice consumed from head, so draining does not reallocate and
+// popping writes nothing. The consumed prefix is reclaimed before the slice
+// grows, once it is at least half the slice, so capacity stays bounded by
+// the live contents. It backs the send queue, the retransmission queue and
+// the sent list.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *chunkQueue) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *chunkQueue) front() *chunk { return &q.buf[q.head] }
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
 
-func (q *chunkQueue) pop() {
+// live returns the unconsumed entries, oldest first.
+func (q *fifo[T]) live() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) pop() {
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
@@ -152,7 +156,7 @@ func (q *chunkQueue) pop() {
 	}
 }
 
-func (q *chunkQueue) compact() {
+func (q *fifo[T]) compact() {
 	if q.head > 0 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf = q.buf[:n]
@@ -160,9 +164,9 @@ func (q *chunkQueue) compact() {
 	}
 }
 
-func (q *chunkQueue) push(ch chunk) {
+func (q *fifo[T]) push(v T) {
 	q.compact()
-	q.buf = append(q.buf, ch)
+	q.buf = append(q.buf, v)
 }
 
 // SentPacket records an in-flight packet for loss detection, RTT sampling

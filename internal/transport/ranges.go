@@ -20,18 +20,30 @@ type Range struct {
 // Len returns the number of units covered by the range.
 func (r Range) Len() int64 { return r.End - r.Start }
 
-// Contains reports whether the range covers [start, end).
-func (r Range) Contains(start, end int64) bool {
-	return r.Start <= start && end <= r.End
-}
-
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
 
 // RangeSet maintains a sorted, merged set of half-open ranges. It backs both
 // receive reassembly (which bytes/packets have arrived) and the sender-side
-// SACK scoreboard.
+// SACK scoreboard. Add and Contains binary-search the ranges, and Add keeps
+// the covered total up to date.
 type RangeSet struct {
-	rs []Range
+	rs      []Range
+	covered int64
+}
+
+// search returns the index of the first range whose End is at least seq:
+// the only range that can hold seq or touch it from below.
+func (s *RangeSet) search(seq int64) int {
+	lo, hi := 0, len(s.rs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.rs[m].End < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Add inserts [start, end) and merges any overlapping or adjacent ranges.
@@ -46,11 +58,9 @@ func (s *RangeSet) Add(start, end int64) {
 	// lo: first range overlapping or adjacent to [start, end);
 	// hi: one past the last such range. Everything in [lo, hi) collapses
 	// into the inserted range.
-	lo := 0
-	for lo < n && rs[lo].End < start {
-		lo++
-	}
+	lo := s.search(start)
 	hi := lo
+	var merged int64
 	for hi < n && rs[hi].Start <= end {
 		if rs[hi].Start < start {
 			start = rs[hi].Start
@@ -58,8 +68,10 @@ func (s *RangeSet) Add(start, end int64) {
 		if rs[hi].End > end {
 			end = rs[hi].End
 		}
+		merged += rs[hi].Len()
 		hi++
 	}
+	s.covered += end - start - merged
 	if lo == hi {
 		// No overlap: open a slot at lo.
 		rs = append(rs, Range{})
@@ -78,15 +90,8 @@ func (s *RangeSet) Add(start, end int64) {
 
 // Contains reports whether [start, end) is fully covered.
 func (s *RangeSet) Contains(start, end int64) bool {
-	for _, r := range s.rs {
-		if r.Contains(start, end) {
-			return true
-		}
-		if r.Start > start {
-			break
-		}
-	}
-	return false
+	i := s.search(start)
+	return i < len(s.rs) && s.rs[i].Start <= start && end <= s.rs[i].End
 }
 
 // CumulativeFrom returns the end of the contiguous run starting at from, or
@@ -104,21 +109,12 @@ func (s *RangeSet) CumulativeFrom(from int64) int64 {
 	return from
 }
 
-// Ranges returns a copy of the merged ranges in ascending order.
-func (s *RangeSet) Ranges() []Range {
-	return append([]Range(nil), s.rs...)
-}
-
-// Above returns up to max ranges lying strictly above seq, most recent (the
-// highest) first — the shape of TCP SACK blocks, which report the newest
-// holes' edges first and are capped at three blocks by option space.
-func (s *RangeSet) Above(seq int64, max int) []Range {
-	return s.AppendAbove(nil, seq, max)
-}
-
-// AppendAbove is Above writing into dst (normally a reused scratch slice
-// resliced to zero length), so hot ack paths avoid a fresh slice per call.
-// With max > 0 the cap applies to the total length of dst.
+// AppendAbove appends to dst up to max ranges lying strictly above seq, most
+// recent (the highest) first — the shape of TCP SACK blocks, which report
+// the newest holes' edges first and are capped at three blocks by option
+// space. dst is normally a reused scratch slice resliced to zero length, so
+// hot ack paths avoid a fresh slice per call. With max > 0 the cap applies
+// to the total length of dst.
 func (s *RangeSet) AppendAbove(dst []Range, seq int64, max int) []Range {
 	for i := len(s.rs) - 1; i >= 0 && (max <= 0 || len(dst) < max); i-- {
 		r := s.rs[i]
@@ -135,8 +131,7 @@ func (s *RangeSet) AppendAbove(dst []Range, seq int64, max int) []Range {
 	return dst
 }
 
-// Last returns the highest range in the set, without copying the set the way
-// Ranges does.
+// Last returns the highest range in the set.
 func (s *RangeSet) Last() (Range, bool) {
 	if len(s.rs) == 0 {
 		return Range{}, false
@@ -145,13 +140,4 @@ func (s *RangeSet) Last() (Range, bool) {
 }
 
 // Covered returns the total units covered by the set.
-func (s *RangeSet) Covered() int64 {
-	var n int64
-	for _, r := range s.rs {
-		n += r.Len()
-	}
-	return n
-}
-
-// Count returns the number of discrete ranges.
-func (s *RangeSet) Count() int { return len(s.rs) }
+func (s *RangeSet) Covered() int64 { return s.covered }

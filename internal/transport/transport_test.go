@@ -10,14 +10,14 @@ func TestRangeSetAddMerge(t *testing.T) {
 	var s RangeSet
 	s.Add(10, 20)
 	s.Add(30, 40)
-	if s.Count() != 2 {
-		t.Fatalf("count = %d", s.Count())
+	if len(s.rs) != 2 {
+		t.Fatalf("count = %d", len(s.rs))
 	}
 	s.Add(20, 30) // bridges the gap
-	if s.Count() != 1 {
-		t.Fatalf("merge failed: %v", s.Ranges())
+	if len(s.rs) != 1 {
+		t.Fatalf("merge failed: %v", s.rs)
 	}
-	if got := s.Ranges()[0]; got.Start != 10 || got.End != 40 {
+	if got := s.rs[0]; got.Start != 10 || got.End != 40 {
 		t.Fatalf("merged = %v", got)
 	}
 }
@@ -26,8 +26,8 @@ func TestRangeSetAddOverlap(t *testing.T) {
 	var s RangeSet
 	s.Add(0, 100)
 	s.Add(50, 150)
-	if s.Count() != 1 || s.Ranges()[0] != (Range{0, 150}) {
-		t.Fatalf("ranges = %v", s.Ranges())
+	if len(s.rs) != 1 || s.rs[0] != (Range{0, 150}) {
+		t.Fatalf("ranges = %v", s.rs)
 	}
 	s.Add(0, 150) // exact duplicate
 	if s.Covered() != 150 {
@@ -39,8 +39,8 @@ func TestRangeSetEmptyAdd(t *testing.T) {
 	var s RangeSet
 	s.Add(5, 5)
 	s.Add(7, 3)
-	if s.Count() != 0 {
-		t.Fatalf("empty adds should be ignored: %v", s.Ranges())
+	if len(s.rs) != 0 {
+		t.Fatalf("empty adds should be ignored: %v", s.rs)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestRangeSetAboveSACKShape(t *testing.T) {
 	s.Add(60, 70)
 	// SACK blocks above the cumulative point (10), newest (highest) first,
 	// capped at 3.
-	blocks := s.Above(10, 3)
+	blocks := s.AppendAbove(nil, 10, 3)
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %v", blocks)
 	}
@@ -94,12 +94,12 @@ func TestRangeSetAboveSACKShape(t *testing.T) {
 		t.Fatalf("block order wrong: %v", blocks)
 	}
 	// Unlimited mode returns everything above.
-	all := s.Above(0, 0)
+	all := s.AppendAbove(nil, 0, 0)
 	if len(all) != 4 {
 		t.Fatalf("all = %v", all)
 	}
 	// A range straddling seq is clipped.
-	clipped := s.Above(5, 0)
+	clipped := s.AppendAbove(nil, 5, 0)
 	if clipped[len(clipped)-1] != (Range{5, 10}) {
 		t.Fatalf("clip wrong: %v", clipped)
 	}
@@ -124,7 +124,7 @@ func TestPropertyRangeSetUnion(t *testing.T) {
 		if s.Covered() != int64(len(covered)) {
 			return false
 		}
-		rs := s.Ranges()
+		rs := s.rs
 		for i := 1; i < len(rs); i++ {
 			if rs[i-1].End >= rs[i].Start {
 				return false // must stay disjoint and sorted
