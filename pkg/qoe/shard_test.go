@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the shard-stream golden")
+var update = flag.Bool("update", false, "rewrite the shard-stream goldens")
 
 // shardExec serves every shard request in this file, so the quick-scale
 // seed-1 testbed records its conditions once per test binary.
@@ -23,27 +23,38 @@ var (
 	goldenShardPath = filepath.Join("testdata", "pop-ab-0-2.shards.jsonl")
 )
 
-// TestShardStreamGolden pins the executor's stream for goldenShardReq, which
-// keeps the fuzz seed a real stream. Refresh with -update.
+// TestShardStreamGolden pins the executor's stream for one request per
+// study design: goldenShardReq, which keeps the fuzz seed a real stream, and
+// the first two pop-rating shards. Refresh with -update.
 func TestShardStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records quick-scale conditions; skipped in -short")
 	}
-	var got bytes.Buffer
-	if err := shardExec.Run(context.Background(), goldenShardReq, &got); err != nil {
-		t.Fatal(err)
-	}
-	if *update {
-		if err := os.WriteFile(goldenShardPath, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenShardPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("executor stream for %s %v drifted from %s (refresh with -update)", goldenShardReq.Study, goldenShardReq.Range, goldenShardPath)
+	for _, tc := range []struct {
+		req  ShardRequest
+		path string
+	}{
+		{goldenShardReq, goldenShardPath},
+		{ShardRequest{Study: StudyPopRating, Scale: ScaleQuick, Seed: 1, Range: ShardRange{Lo: 0, Hi: 2}}, filepath.Join("testdata", "pop-rating-0-2.shards.jsonl")},
+	} {
+		t.Run(tc.req.Study, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := shardExec.Run(context.Background(), tc.req, &got); err != nil {
+				t.Fatal(err)
+			}
+			if *update {
+				if err := os.WriteFile(tc.path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("executor stream for %s %v drifted from %s (refresh with -update)", tc.req.Study, tc.req.Range, tc.path)
+			}
+		})
 	}
 }
 
