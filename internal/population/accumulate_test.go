@@ -96,7 +96,7 @@ func TestRatingTruncationInvariant(t *testing.T) {
 		if !reflect.DeepEqual(partial, full[:k]) {
 			t.Fatalf("k=%d: truncated run states differ from full run prefix", k)
 		}
-		acc, err := newRatingAccumulator(cells, cfg)
+		acc, err := newAccumulator[RatingCellStats, RatingCellState](newRatingDesign(cells, cfg), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestAccumulatorRejectsGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	racc, err := newRatingAccumulator(rcells, cfg)
+	racc, err := newAccumulator[RatingCellStats, RatingCellState](newRatingDesign(rcells, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,11 +116,3 @@ func (c NetworkConfig) Scaled(factor float64) NetworkConfig {
 	out.Name = fmt.Sprintf("%s@x%g", c.Name, factor)
 	return out
 }
-
-// WithLoss derives a variant with the iid loss rate replaced.
-func (c NetworkConfig) WithLoss(rate float64) NetworkConfig {
-	out := c
-	out.LossRate = rate
-	out.Name = fmt.Sprintf("%s@loss%g%%", c.Name, rate*100)
-	return out
-}

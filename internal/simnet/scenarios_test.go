@@ -57,9 +57,9 @@ func TestScenarioByNameCoversBothSpaces(t *testing.T) {
 	}
 }
 
-// TestScaledAndWithLoss: the derivation knobs move exactly the intended
-// dimensions and rename the result.
-func TestScaledAndWithLoss(t *testing.T) {
+// TestScaled: scaling moves exactly the rate and RTT dimensions and renames
+// the result.
+func TestScaled(t *testing.T) {
 	base := LTE
 	fast := base.Scaled(2)
 	if fast.UplinkBps != 2*base.UplinkBps || fast.DownlinkBps != 2*base.DownlinkBps {
@@ -73,10 +73,5 @@ func TestScaledAndWithLoss(t *testing.T) {
 	}
 	if fast.Name == base.Name {
 		t.Fatal("scaled variant must be renamed")
-	}
-
-	lossy := base.WithLoss(0.05)
-	if lossy.LossRate != 0.05 || lossy.UplinkBps != base.UplinkBps || lossy.MinRTT != base.MinRTT {
-		t.Fatalf("WithLoss touched the wrong knobs: %+v", lossy)
 	}
 }

@@ -219,9 +219,6 @@ func (b *Binomial) Merge(o Binomial) { b.AddCounts(o.successes, o.trials) }
 // N returns the number of trials.
 func (b *Binomial) N() int64 { return b.trials }
 
-// Successes returns the success count.
-func (b *Binomial) Successes() int64 { return b.successes }
-
 // Share returns the observed success proportion, NaN with no trials.
 func (b *Binomial) Share() float64 {
 	if b.trials == 0 {

@@ -618,9 +618,9 @@ func (c *Conn) onRTO() {
 				c.inFlight = 0
 			}
 			c.enqueueRexmit(sp.Chunk)
+			c.compactSent(i, 1)
 			break
 		}
-		c.compactSent()
 		c.armRTO()
 		c.trySend()
 		return
@@ -629,15 +629,17 @@ func (c *Conn) onRTO() {
 	c.rtt.Backoff++
 	c.cfg.CC.OnRTO(c.sim.Now())
 	// Re-queue every outstanding chunk, oldest first, ahead of new data.
-	for _, sp := range c.sent.live() {
+	from, n := c.sent.len(), 0
+	for i, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
 		}
 		sp.Lost = true
 		c.enqueueRexmit(sp.Chunk)
+		from, n = min(from, i), n+1
 	}
 	c.inFlight = 0
-	c.compactSent()
+	c.compactSent(from, n)
 	c.armRTO()
 	c.trySend()
 }
@@ -676,26 +678,36 @@ func (c *Conn) enqueueRexmit(ch chunk) {
 }
 
 // compactSent drops acked/lost records from the sent list, returning them to
-// the conn's free list. A dead prefix is popped off the head without moving
-// a record; live records are shifted down only from the first dead record
+// the conn's free list. n is the number of records marked acked or lost
+// since the last compaction and from the live offset of the lowest of them;
+// every record below from is live, so the list is read from there on only,
+// and not at all when n is 0. A dead prefix is popped off the head without
+// moving a record, and when it held all n marked records nothing more is
+// read; otherwise live records are shifted down from the first dead record
 // behind a live one.
-func (c *Conn) compactSent() {
+func (c *Conn) compactSent(from, n int) {
+	if n == 0 {
+		return
+	}
 	q := &c.sent
-	for q.len() > 0 {
-		sp := *q.front()
-		if !sp.Acked && !sp.Lost {
-			break
+	if from == 0 {
+		for n > 0 {
+			sp := *q.front()
+			if !sp.Acked && !sp.Lost {
+				break
+			}
+			c.freeSentPacket(sp)
+			q.pop()
+			n--
 		}
-		c.freeSentPacket(sp)
-		q.pop()
+		if n == 0 {
+			return
+		}
 	}
 	live := q.live()
-	i := 0
-	for i < len(live) && !live[i].Acked && !live[i].Lost {
+	i := from
+	for !live[i].Acked && !live[i].Lost {
 		i++
-	}
-	if i == len(live) {
-		return
 	}
 	w := i
 	for _, sp := range live[i:] {
@@ -904,7 +916,7 @@ func (c *Conn) receiveAck(p *Packet) {
 		}
 	}
 
-	newlyAcked := c.markAcked(ai.Ranges)
+	newlyAcked, ackedFrom := c.markAcked(ai.Ranges)
 	for _, sp := range newlyAcked {
 		c.inFlight -= sp.Chunk.len
 		if c.inFlight < 0 {
@@ -929,8 +941,8 @@ func (c *Conn) receiveAck(p *Packet) {
 	}
 
 	c.updateRecovery(ai.CumAck)
-	c.detectLosses()
-	c.compactSent()
+	lostFrom, lost := c.detectLosses()
+	c.compactSent(min(ackedFrom, lostFrom), len(newlyAcked)+lost)
 	c.ackScratch = newlyAcked[:0] // keep the grown capacity for the next ack
 
 	if len(newlyAcked) > 0 {
@@ -945,15 +957,17 @@ func (c *Conn) receiveAck(p *Packet) {
 }
 
 // markAcked marks the outstanding records the ack newly covers and returns
-// them in ascending PN order, in the conn's reused scratch slice. In
+// them in ascending PN order, in the conn's reused scratch slice, with the
+// live offset of the first (the list length when there is none). In
 // byte-stream mode a record is acked once the SACK scoreboard holds all of
 // its bytes; in packet-number mode once one of ranges holds its PN, matched
 // in a single merge walk of the ascending sent list against ranges, which
 // AppendAbove emits highest first.
-func (c *Conn) markAcked(ranges []Range) []*SentPacket {
+func (c *Conn) markAcked(ranges []Range) ([]*SentPacket, int) {
 	newlyAcked := c.ackScratch[:0]
+	from := c.sent.len()
 	j := len(ranges) - 1
-	for _, sp := range c.sent.live() {
+	for i, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
 		}
@@ -974,16 +988,20 @@ func (c *Conn) markAcked(ranges []Range) []*SentPacket {
 			}
 		}
 		sp.Acked = true
+		if len(newlyAcked) == 0 {
+			from = i
+		}
 		newlyAcked = append(newlyAcked, sp)
 	}
-	return newlyAcked
+	return newlyAcked, from
 }
 
 // detectLosses applies the segment/packet-threshold rule plus a RACK-style
 // time threshold, re-queues lost data ahead of new data, and signals the
 // controller at most once per recovery epoch. It walks the sent list only as
-// far as a rule can reach.
-func (c *Conn) detectLosses() {
+// far as a rule can reach, and returns the live offset of the first record it
+// marked lost (the list length when there is none) and how many it marked.
+func (c *Conn) detectLosses() (from, n int) {
 	now := c.sim.Now()
 	thresholdBytes := int64(c.cfg.Sem.LossThresholdSegments * c.cfg.MSS)
 	var highestSacked int64 = -1
@@ -998,7 +1016,8 @@ func (c *Conn) detectLosses() {
 	}
 
 	lost := c.lossScratch[:0]
-	for _, sp := range c.sent.live() {
+	from = c.sent.len()
+	for i, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
 		}
@@ -1037,12 +1056,15 @@ func (c *Conn) detectLosses() {
 		}
 		if isLost {
 			sp.Lost = true
+			if len(lost) == 0 {
+				from = i
+			}
 			lost = append(lost, sp)
 		}
 	}
 	c.lossScratch = lost[:0]
 	if len(lost) == 0 {
-		return
+		return from, 0
 	}
 	for _, sp := range lost {
 		c.inFlight -= sp.Chunk.len
@@ -1057,6 +1079,7 @@ func (c *Conn) detectLosses() {
 		c.recoverOff = c.highestSentOff
 		c.recoverPN = c.nextPN
 	}
+	return from, len(lost)
 }
 
 // updateRecovery ends the recovery epoch once the loss event's data has been

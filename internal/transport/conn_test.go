@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -421,7 +422,8 @@ func TestNetworkDispatchesMultipleConns(t *testing.T) {
 // naive "some range holds the PN" scan. The outstanding records ascend with
 // gaps, some already acked or lost; the ack ranges come from a received set
 // with more holes than the 256 ranges an ack carries, so the lowest PNs fall
-// outside every range.
+// outside every range. After compactSent, told of the records marked here and
+// in the setup, the sent list must hold exactly the naive survivors.
 func TestMarkAckedMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -439,7 +441,8 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 
 		c := NewConn(simnet.New(seed), Config{CC: newCC(), Sem: quicLikeSem(false)}, func(simnet.Frame) {})
 		wantAcked := map[*SentPacket]bool{}
-		var wantNew []int64
+		var wantNew, wantLive []int64
+		preFrom, preDead := math.MaxInt, 0 // no record marked yet
 		for pn := int64(0); pn < top+50; pn += 1 + rng.Int63n(3) {
 			sp := &SentPacket{PN: pn}
 			switch rng.Intn(6) {
@@ -447,6 +450,12 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 				sp.Acked = true
 			case 1:
 				sp.Lost = true
+			}
+			if sp.Acked || sp.Lost {
+				if preDead == 0 {
+					preFrom = c.sent.len()
+				}
+				preDead++
 			}
 			c.sent.push(sp)
 			inRange := false
@@ -459,9 +468,12 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 				wantNew = append(wantNew, pn)
 			}
 			wantAcked[sp] = sp.Acked || (!sp.Lost && inRange)
+			if !wantAcked[sp] && !sp.Lost {
+				wantLive = append(wantLive, pn)
+			}
 		}
 
-		got := c.markAcked(ranges)
+		got, from := c.markAcked(ranges)
 		if len(got) != len(wantNew) {
 			t.Fatalf("seed %d: %d records newly acked, want %d", seed, len(got), len(wantNew))
 		}
@@ -474,6 +486,26 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 			if sp.Acked != want {
 				t.Fatalf("seed %d: PN %d Acked = %v, want %v", seed, sp.PN, sp.Acked, want)
 			}
+		}
+		if len(got) > 0 && got[0] != c.sent.live()[from] {
+			t.Fatalf("seed %d: first newly acked reported at offset %d, which holds PN %d", seed, from, c.sent.live()[from].PN)
+		}
+		c.compactSent(min(from, preFrom), len(got)+preDead)
+		checkSentPNs(t, seed, c, wantLive)
+	}
+}
+
+// checkSentPNs asserts that c's sent list holds exactly the records with the
+// given PNs, in that order.
+func checkSentPNs(t *testing.T, seed int64, c *Conn, want []int64) {
+	t.Helper()
+	live := c.sent.live()
+	if len(live) != len(want) {
+		t.Fatalf("seed %d: sent list holds %d records after compaction, want %d", seed, len(live), len(want))
+	}
+	for i, sp := range live {
+		if sp.PN != want[i] || sp.Acked || sp.Lost {
+			t.Fatalf("seed %d: sent record #%d is PN %d (acked %v, lost %v), want live PN %d", seed, i, sp.PN, sp.Acked, sp.Lost, want[i])
 		}
 	}
 }
@@ -549,7 +581,9 @@ func TestWholeWriteQueueMatchesMSSSplit(t *testing.T) {
 // mode retransmissions (higher PNs, lower connection offsets) are mixed into
 // the first transmissions, and the highest SACKed byte sits on, just below
 // or just above a first transmission's threshold edge; largestAcked sits on
-// or beside an outstanding record's PN.
+// or beside an outstanding record's PN. After compactSent, told of the records
+// marked here and in the setup, the sent list must hold exactly the records
+// the full walk leaves outstanding.
 func TestDetectLossesMatchesFullWalk(t *testing.T) {
 	mss := congestion.DefaultMSS
 	lostTotal := 0
@@ -567,6 +601,7 @@ func TestDetectLossesMatchesFullWalk(t *testing.T) {
 		var recs []*SentPacket
 		var firsts []chunk
 		var connOff, pn int64
+		preFrom, preDead := math.MaxInt, 0 // no record marked yet
 		var clock time.Duration
 		for i := 0; i < 60; i++ {
 			pn += 1 + rng.Int63n(2)
@@ -592,6 +627,12 @@ func TestDetectLossesMatchesFullWalk(t *testing.T) {
 			default:
 				c.inFlight += ch.len
 			}
+			if sp.Acked || sp.Lost {
+				if preDead == 0 {
+					preFrom = i
+				}
+				preDead++
+			}
 			c.sent.push(sp)
 			recs = append(recs, sp)
 		}
@@ -615,6 +656,7 @@ func TestDetectLossesMatchesFullWalk(t *testing.T) {
 		}
 		want := map[*SentPacket]bool{}
 		wantInFlight := 0
+		var wantLive []int64
 		for _, sp := range recs {
 			if sp.Acked || sp.Lost {
 				want[sp] = sp.Lost
@@ -635,10 +677,11 @@ func TestDetectLossesMatchesFullWalk(t *testing.T) {
 				lostTotal++
 			} else {
 				wantInFlight += sp.Chunk.len
+				wantLive = append(wantLive, sp.PN)
 			}
 		}
 
-		c.detectLosses()
+		from, n := c.detectLosses()
 		for _, sp := range recs {
 			if sp.Lost != want[sp] {
 				t.Fatalf("seed %d (ByteStream=%v): PN %d (rexmit %v, connOff %d) Lost = %v, full walk says %v; largestAcked %d highestSacked %d",
@@ -648,6 +691,11 @@ func TestDetectLossesMatchesFullWalk(t *testing.T) {
 		if c.inFlight != wantInFlight {
 			t.Fatalf("seed %d: inFlight %d after loss detection, want %d", seed, c.inFlight, wantInFlight)
 		}
+		if n > 0 && (!recs[from].Lost || recs[from].PN != c.sent.live()[from].PN) {
+			t.Fatalf("seed %d: first lost record reported at offset %d, PN %d", seed, from, recs[from].PN)
+		}
+		c.compactSent(min(from, preFrom), n+preDead)
+		checkSentPNs(t, seed, c, wantLive)
 	}
 	if lostTotal == 0 {
 		t.Fatal("no record was ever declared lost")
