@@ -8,6 +8,7 @@
 package browser
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/httpsim"
@@ -67,13 +68,42 @@ type loader struct {
 	finished      bool
 }
 
+// world is what a page load runs on: the simulator, the path and the
+// transport network with its packet, sent-record and conn pools. Building
+// one per load would throw away every pool a load grows, so loads take a
+// world from worlds and Reset it instead. A reset world replays exactly
+// what a new one would — same clock, sequence numbers and random streams,
+// no event, frame or conn state left over — so every load still starts
+// from a fresh browser; only the capacity is kept.
+type world struct {
+	sim *simnet.Simulator
+	net *transport.Network
+}
+
+func newWorld() *world {
+	sim := simnet.New(0)
+	return &world{sim: sim, net: transport.NewNetwork(sim, simnet.NetworkConfig{})}
+}
+
+// worlds holds the idle worlds; the pool lets them go when loads stop.
+var worlds = sync.Pool{New: func() any { return newWorld() }}
+
 // Load performs one page visit and returns its visual trace and metrics.
 func Load(site *webpage.Site, cfg Config) Result {
+	w := worlds.Get().(*world)
+	res := w.load(site, cfg)
+	worlds.Put(w)
+	return res
+}
+
+// load resets the world for cfg and performs the visit on it.
+func (w *world) load(site *webpage.Site, cfg Config) Result {
 	if cfg.MaxLoadTime <= 0 {
 		cfg.MaxLoadTime = 5 * time.Minute
 	}
-	sim := simnet.New(cfg.Seed)
-	net := transport.NewNetwork(sim, cfg.Network)
+	sim, net := w.sim, w.net
+	sim.Reset(cfg.Seed)
+	net.Reset(cfg.Network)
 	ld := &loader{
 		sim:    sim,
 		client: httpsim.NewClient(sim, net, cfg.Proto),

@@ -163,9 +163,12 @@ func TestFig5Shapes(t *testing.T) {
 			planeN++
 		}
 	}
+	if dslN == 0 || planeN == 0 {
+		t.Fatalf("%d DSL and %d plane cells, want some of each", dslN, planeN)
+	}
 	dslMean /= float64(dslN)
 	planeMean /= float64(planeN)
-	if dslMean <= planeMean+10 {
+	if !(dslMean > planeMean+10) { // written to fail on a NaN mean too
 		t.Fatalf("DSL mean %.1f should far exceed plane mean %.1f", dslMean, planeMean)
 	}
 	// Within a network, CIs of the five protocols mostly overlap (the "do

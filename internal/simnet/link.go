@@ -68,6 +68,10 @@ type Link struct {
 	LossRate float64
 	// Deliver receives frames at the far end. Must be set before Send.
 	Deliver func(Frame)
+	// Drop, when set, receives every frame the link discards instead: each
+	// random-loss and droptail victim, and at a reset each frame still in
+	// flight. Owners recycle payloads through it as they do on Deliver.
+	Drop func(Frame)
 
 	queuedBytes int
 	busyUntil   time.Duration
@@ -93,13 +97,43 @@ type LinkConfig struct {
 // NewLink builds a link on the simulator. rngLabel selects an independent
 // loss stream so uplink and downlink losses are uncorrelated.
 func NewLink(sim *Simulator, cfg LinkConfig, rngLabel int64) *Link {
-	return &Link{
-		sim:           sim,
-		rng:           sim.SubRand(rngLabel),
-		BandwidthBps:  cfg.BandwidthBps,
-		PropDelay:     cfg.PropDelay,
-		QueueCapBytes: cfg.QueueCapBytes,
-		LossRate:      cfg.LossRate,
+	l := &Link{sim: sim, rng: sim.SubRand(rngLabel)}
+	l.configure(cfg)
+	return l
+}
+
+func (l *Link) configure(cfg LinkConfig) {
+	l.BandwidthBps = cfg.BandwidthBps
+	l.PropDelay = cfg.PropDelay
+	l.QueueCapBytes = cfg.QueueCapBytes
+	l.LossRate = cfg.LossRate
+}
+
+// reset returns the link to the state NewLink(sim, cfg, rngLabel) builds on
+// its simulator, which the caller has just Reset: the loss stream is
+// reseeded in place with the seed NewLink would draw, the frames still in
+// flight go to Drop and their nodes to the free list, and Stats restart at
+// zero. Deliver and Drop stay wired.
+func (l *Link) reset(cfg LinkConfig, rngLabel int64) {
+	for n := l.head; n != nil; {
+		next := n.next
+		l.discard(n.frame)
+		n.frame = Frame{}
+		n.next = l.freeNodes
+		l.freeNodes = n
+		n = next
+	}
+	l.head, l.tail, l.undeparted = nil, nil, nil
+	l.queuedBytes, l.busyUntil = 0, 0
+	l.rng.Seed(l.sim.subSeed(rngLabel))
+	l.configure(cfg)
+	l.Stats = LinkStats{}
+}
+
+// discard hands a frame the link will not deliver back to its owner.
+func (l *Link) discard(f Frame) {
+	if l.Drop != nil {
+		l.Drop(f)
 	}
 }
 
@@ -145,9 +179,9 @@ func (l *Link) QueuedBytes() int {
 	return l.queuedBytes
 }
 
-// Send pushes a frame onto the link. The frame is dropped with probability
-// LossRate, or if the droptail queue is full; otherwise it is serialized
-// after the frames ahead of it and delivered PropDelay later.
+// Send pushes a frame onto the link. The frame is dropped (handed to Drop)
+// with probability LossRate, or if the droptail queue is full; otherwise it
+// is serialized after the frames ahead of it and delivered PropDelay later.
 func (l *Link) Send(f Frame) {
 	if l.Deliver == nil {
 		panic("simnet: Link.Deliver not set")
@@ -158,11 +192,13 @@ func (l *Link) Send(f Frame) {
 	l.Stats.Sent++
 	if l.LossRate > 0 && l.rng.Float64() < l.LossRate {
 		l.Stats.DroppedLoss++
+		l.discard(f)
 		return
 	}
 	l.drain()
 	if l.QueueCapBytes > 0 && l.queuedBytes+f.Size > l.QueueCapBytes {
 		l.Stats.DroppedQueue++
+		l.discard(f)
 		return
 	}
 	l.queuedBytes += f.Size

@@ -91,23 +91,49 @@ type Path struct {
 	Cfg  NetworkConfig
 }
 
-// NewPath wires a duplex path on the simulator. deliverUp is invoked for
-// frames arriving at the server; deliverDown for frames arriving at the
-// client.
-func NewPath(sim *Simulator, cfg NetworkConfig, deliverUp, deliverDown func(Frame)) *Path {
-	up := NewLink(sim, LinkConfig{
+// Loss-stream labels of a path's two links, so uplink and downlink losses
+// are uncorrelated.
+const (
+	uplinkLabel   = 0x75706c696e6b // "uplink"
+	downlinkLabel = 0x646f776e     // "down"
+)
+
+// linkConfigs splits cfg into the path's uplink and downlink.
+func linkConfigs(cfg NetworkConfig) (up, down LinkConfig) {
+	up = LinkConfig{
 		BandwidthBps:  cfg.UplinkBps,
 		PropDelay:     cfg.MinRTT / 2,
 		QueueCapBytes: QueueCapForDelay(cfg.UplinkBps, cfg.QueueDelay),
 		LossRate:      cfg.LossRate,
-	}, 0x75706c696e6b) // "uplink"
-	down := NewLink(sim, LinkConfig{
+	}
+	down = LinkConfig{
 		BandwidthBps:  cfg.DownlinkBps,
 		PropDelay:     cfg.MinRTT / 2,
 		QueueCapBytes: QueueCapForDelay(cfg.DownlinkBps, cfg.QueueDelay),
 		LossRate:      cfg.LossRate,
-	}, 0x646f776e) // "down"
+	}
+	return up, down
+}
+
+// NewPath wires a duplex path on the simulator. deliverUp is invoked for
+// frames arriving at the server; deliverDown for frames arriving at the
+// client.
+func NewPath(sim *Simulator, cfg NetworkConfig, deliverUp, deliverDown func(Frame)) *Path {
+	upCfg, downCfg := linkConfigs(cfg)
+	up := NewLink(sim, upCfg, uplinkLabel)
+	down := NewLink(sim, downCfg, downlinkLabel)
 	up.Deliver = deliverUp
 	down.Deliver = deliverDown
 	return &Path{Up: up, Down: down, Cfg: cfg}
+}
+
+// Reset rebuilds the path for cfg on its simulator, which the caller has
+// just Reset: both links end up as NewPath would build them, with their
+// loss streams drawn in NewPath's order, and the frames still in flight go
+// to each link's Drop. The delivery and drop hooks stay wired.
+func (p *Path) Reset(cfg NetworkConfig) {
+	upCfg, downCfg := linkConfigs(cfg)
+	p.Up.reset(upCfg, uplinkLabel)
+	p.Down.reset(downCfg, downlinkLabel)
+	p.Cfg = cfg
 }

@@ -9,12 +9,13 @@
 // bit-reproducible.
 //
 // The event core is allocation-free in steady state: event nodes come from a
-// per-simulator free list and are recycled when they fire or are cancelled,
-// the queue is a pointer-free heap of (time, sequence, node index) values, and
-// callbacks are scheduled as a plain function plus a pre-bound argument
-// (ScheduleArg) instead of a per-event closure. Events execute in (time,
-// sequence) order — FIFO among simultaneous events — which is the ordering
-// contract every deterministic result in this repository depends on.
+// per-simulator free list, are recycled when they fire or are cancelled and
+// outlive a Reset, the queue is a pointer-free heap of (time, sequence, node
+// index) values, and callbacks are scheduled as a plain function plus a
+// pre-bound argument (ScheduleArg) instead of a per-event closure. Events
+// execute in (time, sequence) order — FIFO among simultaneous events — which
+// is the ordering contract every deterministic result in this repository
+// depends on.
 package simnet
 
 import (
@@ -104,7 +105,29 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // simulator seed and a caller-chosen label, so that adding a new consumer of
 // randomness does not perturb existing draws.
 func (s *Simulator) SubRand(label int64) *rand.Rand {
-	return rand.New(rand.NewSource(s.rng.Int63() ^ label))
+	return rand.New(rand.NewSource(s.subSeed(label)))
+}
+
+// subSeed draws the seed of SubRand's stream for label, so a reset link
+// can reseed its existing stream in place with the same draw.
+func (s *Simulator) subSeed(label int64) int64 { return s.rng.Int63() ^ label }
+
+// Reset returns the simulator to the state New(seed) builds while keeping
+// its event nodes and heap capacity for the next run. Every queued event is
+// dropped and every node's generation bumped, so no Timer handle from before
+// the reset can reach an event scheduled after it; the clock and sequence
+// numbers restart at zero, and the random stream is reseeded in place
+// (Seed yields the same stream as a fresh NewSource).
+func (s *Simulator) Reset(seed int64) {
+	s.free = s.free[:0]
+	for _, n := range s.nodes {
+		n.gen++
+		n.fn, n.arg = nil, nil
+		s.free = append(s.free, n.id)
+	}
+	s.events = s.events[:0]
+	s.now, s.seq, s.curSeq = 0, 0, 0
+	s.rng.Seed(seed)
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated

@@ -11,11 +11,10 @@ import (
 // TestTransportSendPathAllocs pins the steady-state allocation cost of the
 // full transport send path — WriteStream, chunking, packetization, link
 // traversal, delayed acks, SACK generation, loss detection — on a loss-free
-// network. With pooled packets, pooled sent-packet records, pooled event
-// nodes and in-place range sets, a 64 KB write settles at a handful of
-// allocations (replacements for the packets the link's droptail queue
-// drops, which never return to the pool), where it used to cost ~10 per
-// packet.
+// network. With pooled packets (delivered and dropped ones alike), pooled
+// sent-packet records, pooled event nodes and in-place range sets, a 64 KB
+// write settles at zero allocations or close to it, where it used to cost
+// ~10 per packet.
 func TestTransportSendPathAllocs(t *testing.T) {
 	sim := simnet.New(1)
 	net := NewNetwork(sim, simnet.DSL)
@@ -49,13 +48,14 @@ func TestTransportSendPathAllocs(t *testing.T) {
 // on every ack.
 func TestSentListSteadyStateAllocFree(t *testing.T) {
 	sim := simnet.New(1)
-	pool := &packetPool{}
-	c := NewConn(sim, Config{CC: congestion.NewCubic(congestion.Config{InitialWindowSegments: 10}), Sem: Semantics{}},
-		func(f simnet.Frame) { pool.Put(f.Payload.(*Packet)) })
-	c.pool = pool
+	var c *Conn
+	c = NewConn(sim, Config{CC: congestion.NewCubic(congestion.Config{InitialWindowSegments: 10}), Sem: Semantics{}},
+		func(f simnet.Frame) { c.pool.Put(f.Payload.(*Packet)) })
+	pool := c.pool
 	c.Start()
+	// ack draws its packet the way sendAck does, from the pool's ack list.
 	ack := func(start, end int64) {
-		p := pool.Get()
+		p := pool.GetAck(1)
 		p.Kind = KindAck
 		p.ackStore.CumAck = -1
 		p.ackStore.RcvWindow = 1 << 20
@@ -86,5 +86,46 @@ func TestSentListSteadyStateAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("sent-list ack cycle allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestFreeListTrimKeepsRunPeak checks the retention rule of the pools and
+// spare conns: a trim keeps the most entries the run since the last trim had
+// drawn at once, and lets go of the ones it never drew.
+func TestFreeListTrimKeepsRunPeak(t *testing.T) {
+	var l freeList[int]
+	vals := make([]int, 10)
+	for i := range vals {
+		l.put(&vals[i])
+	}
+	l.trim() // a new run starts with all ten free
+	var out []*int
+	for range 4 { // peak: four drawn at once
+		out = append(out, l.get())
+	}
+	for _, v := range out[2:] {
+		l.put(v)
+	}
+	again := l.get() // below the peak: the low mark stays
+	l.put(again)
+	l.put(out[0])
+	l.put(out[1])
+	for _, v := range out {
+		if v == nil {
+			t.Fatal("a list holding entries returned nil")
+		}
+	}
+	l.trim()
+	if len(l.free) != 4 {
+		t.Fatalf("trim kept %d entries, want the run's peak of 4", len(l.free))
+	}
+	for _, v := range l.free {
+		if v == &vals[0] || v == &vals[1] || v == &vals[2] || v == &vals[3] || v == &vals[4] || v == &vals[5] {
+			t.Fatalf("trim kept entry %d, which the run never drew", v)
+		}
+	}
+	l.trim() // a run that drew nothing keeps nothing
+	if len(l.free) != 0 {
+		t.Fatalf("trim after an idle run kept %d entries, want 0", len(l.free))
 	}
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/congestion"
@@ -77,7 +79,10 @@ type ConnStats struct {
 	EstablishedAt   time.Duration
 }
 
+// segMeta is one received connection-stream segment held for in-order
+// delivery (byte-stream mode).
 type segMeta struct {
+	connOff  int64
 	streamID int
 	len      int
 	fin      bool
@@ -97,11 +102,10 @@ type Conn struct {
 	cfg Config
 	out func(simnet.Frame)
 
-	// pool recycles wire packets; set by Network.NewConnPair (nil for a
-	// standalone Conn, which then allocates packets the ordinary way).
+	// pool recycles wire packets and sent records: the Network's shared
+	// pool, or a private one for a standalone Conn (whose packets come back
+	// only if its out function returns them).
 	pool *packetPool
-	// spFree recycles SentPacket records dropped by compactSent.
-	spFree []*SentPacket
 	// ackScratch / lossScratch / sackAll are reused per-ack scratch slices.
 	ackScratch  []*SentPacket
 	lossScratch []*SentPacket
@@ -162,8 +166,8 @@ type Conn struct {
 	drainSignaled bool
 
 	// Receive state.
-	rcvConn        RangeSet // ByteStream: received connection bytes
-	rcvSegs        map[int64]segMeta
+	rcvConn        RangeSet      // ByteStream: received connection bytes
+	rcvSegs        fifo[segMeta] // ByteStream: segments above rcvDeliveredTo, by connOff
 	rcvDeliveredTo int64
 	rcvPN          RangeSet // packet-number mode: received PNs
 	streams        map[int]*recvStream
@@ -182,6 +186,30 @@ type Conn struct {
 // NewConn builds one connection half. out transmits frames toward the peer
 // (normally a simnet link Send).
 func NewConn(sim *simnet.Simulator, cfg Config, out func(simnet.Frame)) *Conn {
+	c := new(Conn)
+	c.init(sim, cfg, out, new(packetPool))
+	return c
+}
+
+// keepEntries bounds the capacity a reused conn keeps in each buffer and
+// map. Most conns of a page load stay below it. The few heavy ones grow past
+// it, and keeping their buffers on every spare conn would add up, over the
+// loads, to far more memory than any one load uses.
+const keepEntries = 64
+
+// kept returns s emptied for reuse, or nil if it grew past keepEntries.
+func kept[T any](s []T) []T {
+	if cap(s) > keepEntries {
+		return nil
+	}
+	return s[:0]
+}
+
+// init sets c up as a new connection half. A conn from an earlier run,
+// whose sent records Network.Reset took back, keeps only capacity — its
+// queues, sent list, range sets, scratch slices, maps and receive streams,
+// up to keepEntries each — so it behaves exactly as a newly built one.
+func (c *Conn) init(sim *simnet.Simulator, cfg Config, out func(simnet.Frame), pool *packetPool) {
 	if cfg.CC == nil {
 		panic("transport: Config.CC is required")
 	}
@@ -200,43 +228,43 @@ func NewConn(sim *simnet.Simulator, cfg Config, out func(simnet.Frame)) *Conn {
 	if cfg.RecvBuf <= 0 {
 		cfg.RecvBuf = 1 << 20
 	}
-	c := &Conn{
+	// Streams and send offsets are never deleted during a run, so a map's
+	// length is its high-water mark. A kept stream is reset in place and
+	// reads exactly as one stream() creates.
+	if len(c.streams) > keepEntries || c.streams == nil {
+		c.streams = make(map[int]*recvStream)
+	}
+	for _, st := range c.streams {
+		*st = recvStream{ranges: RangeSet{rs: kept(st.ranges.rs)}, finOff: -1}
+	}
+	if len(c.sendOffs) > keepEntries {
+		c.sendOffs = nil
+	}
+	clear(c.sendOffs)
+	*c = Conn{
 		sim:          sim,
 		cfg:          cfg,
 		out:          out,
-		rcvSegs:      make(map[int64]segMeta),
-		streams:      make(map[int]*recvStream),
+		pool:         pool,
+		ackScratch:   kept(c.ackScratch),
+		lossScratch:  kept(c.lossScratch),
+		sackAll:      kept(c.sackAll),
+		queue:        fifo[chunk]{buf: kept(c.queue.buf)},
+		rexmitQ:      fifo[chunk]{buf: kept(c.rexmitQ.buf)},
+		sent:         fifo[*SentPacket]{buf: kept(c.sent.buf)},
+		ackedBytes:   RangeSet{rs: kept(c.ackedBytes.rs)},
+		rcvConn:      RangeSet{rs: kept(c.rcvConn.rs)},
+		rcvPN:        RangeSet{rs: kept(c.rcvPN.rs)},
+		rcvSegs:      fifo[segMeta]{buf: kept(c.rcvSegs.buf)},
+		streams:      c.streams,
+		sendOffs:     c.sendOffs,
 		peerRwnd:     1 << 20, // replaced by SetPeerRecvBuf / ack advertisements
 		largestAcked: -1,
 	}
 	if cfg.Pacing {
 		c.pacer = congestion.NewPacer(cfg.MSS)
 	}
-	return c
 }
-
-// newPacket draws a wire packet from the network's shared pool when the
-// conn is attached to one, so steady-state sending allocates no packets.
-func (c *Conn) newPacket() *Packet {
-	if c.pool != nil {
-		return c.pool.Get()
-	}
-	return &Packet{}
-}
-
-// newSentPacket draws a zeroed in-flight record from the conn's free list.
-func (c *Conn) newSentPacket() *SentPacket {
-	if n := len(c.spFree); n > 0 {
-		sp := c.spFree[n-1]
-		c.spFree[n-1] = nil
-		c.spFree = c.spFree[:n-1]
-		*sp = SentPacket{}
-		return sp
-	}
-	return &SentPacket{}
-}
-
-func (c *Conn) freeSentPacket(sp *SentPacket) { c.spFree = append(c.spFree, sp) }
 
 // Package-level event callbacks: scheduled with ScheduleArg so arming a
 // timer allocates neither a node nor a closure.
@@ -352,7 +380,7 @@ func (c *Conn) sendHandshakeStep(i int) {
 			n = c.cfg.MSS
 		}
 		remaining -= n
-		pkt := c.newPacket()
+		pkt := c.pool.Get()
 		pkt.ConnID = c.cfg.ConnID
 		pkt.Kind = KindHandshake
 		pkt.PN = -1
@@ -547,7 +575,7 @@ func (c *Conn) trySend() {
 func (c *Conn) sendChunk(ch chunk) {
 	pn := c.nextPN
 	c.nextPN++
-	pkt := c.newPacket()
+	pkt := c.pool.Get()
 	pkt.ConnID = c.cfg.ConnID
 	pkt.Kind = KindData
 	pkt.PN = pn
@@ -558,7 +586,7 @@ func (c *Conn) sendChunk(ch chunk) {
 	pkt.ConnOff = ch.connOff
 	pkt.Rexmit = ch.rexmit
 	wire := ch.len + c.cfg.Sem.PacketOverhead
-	sp := c.newSentPacket()
+	sp := c.pool.GetSent()
 	sp.PN = pn
 	sp.SentAt = int64(c.sim.Now())
 	sp.Chunk = ch
@@ -678,8 +706,8 @@ func (c *Conn) enqueueRexmit(ch chunk) {
 }
 
 // compactSent drops acked/lost records from the sent list, returning them to
-// the conn's free list. n is the number of records marked acked or lost
-// since the last compaction and from the live offset of the lowest of them;
+// the pool. n is the number of records marked acked or lost since the last
+// compaction and from the live offset of the lowest of them;
 // every record below from is live, so the list is read from there on only,
 // and not at all when n is 0. A dead prefix is popped off the head without
 // moving a record, and when it held all n marked records nothing more is
@@ -696,7 +724,7 @@ func (c *Conn) compactSent(from, n int) {
 			if !sp.Acked && !sp.Lost {
 				break
 			}
-			c.freeSentPacket(sp)
+			c.pool.PutSent(sp)
 			q.pop()
 			n--
 		}
@@ -712,7 +740,7 @@ func (c *Conn) compactSent(from, n int) {
 	w := i
 	for _, sp := range live[i:] {
 		if sp.Acked || sp.Lost {
-			c.freeSentPacket(sp)
+			c.pool.PutSent(sp)
 			continue
 		}
 		live[w] = sp
@@ -751,14 +779,11 @@ func (c *Conn) receiveData(p *Packet) {
 		c.rcvConn.Add(p.ConnOff, p.ConnOff+int64(p.PayloadLen))
 		c.lastArrival = p.ConnOff
 		if p.ConnOff >= c.rcvDeliveredTo {
-			c.rcvSegs[p.ConnOff] = segMeta{streamID: p.StreamID, len: p.PayloadLen, fin: p.Fin}
+			c.holdSeg(segMeta{connOff: p.ConnOff, streamID: p.StreamID, len: p.PayloadLen, fin: p.Fin})
 		}
-		for {
-			meta, ok := c.rcvSegs[c.rcvDeliveredTo]
-			if !ok {
-				break
-			}
-			delete(c.rcvSegs, c.rcvDeliveredTo)
+		for c.rcvSegs.len() > 0 && c.rcvSegs.front().connOff == c.rcvDeliveredTo {
+			meta := *c.rcvSegs.front()
+			c.rcvSegs.pop()
 			c.rcvDeliveredTo += int64(meta.len)
 			c.deliverToStream(meta.streamID, int64(meta.len), meta.fin)
 		}
@@ -791,6 +816,23 @@ func (c *Conn) receiveData(p *Packet) {
 	} else if !c.ackTimer.Active() {
 		c.ackTimer = c.sim.ScheduleArg(c.cfg.Sem.AckDelay, sendAckEvent, c)
 	}
+}
+
+// holdSeg files a received segment in the reorder queue, in connOff order.
+// Segments never overlap partly (a retransmission resends its chunk whole),
+// so a duplicate replaces the copy held.
+func (c *Conn) holdSeg(m segMeta) {
+	q := &c.rcvSegs
+	q.compact()
+	live := q.live()
+	i, dup := slices.BinarySearchFunc(live, m.connOff, func(s segMeta, off int64) int {
+		return cmp.Compare(s.connOff, off)
+	})
+	if dup {
+		live[i] = m
+		return
+	}
+	q.buf = slices.Insert(q.buf, q.head+i, m)
 }
 
 func (c *Conn) stream(id int) *recvStream {
@@ -831,9 +873,16 @@ func (c *Conn) rcvWindow() int64 {
 func (c *Conn) sendAck() {
 	c.ackTimer.Cancel()
 	c.ackPending = 0
-	// The ack rides in the packet's own storage: when the packet came from
-	// the network pool, its range capacity is recycled with it.
-	pkt := c.newPacket()
+	// The ack rides in the packet's own storage, whose range capacity the
+	// pool's ack lists recycle with it.
+	max, held := c.cfg.Sem.MaxAckRanges, c.rcvPN.rs
+	if max <= 0 {
+		max = 256
+	}
+	if c.cfg.Sem.ByteStream {
+		max, held = c.cfg.Sem.MaxSackBlocks, c.rcvConn.rs
+	}
+	pkt := c.pool.GetAck(min(max, len(held)))
 	ai := &pkt.ackStore
 	ai.CumAck = -1
 	ai.RcvWindow = c.rcvWindow()
@@ -842,10 +891,6 @@ func (c *Conn) sendAck() {
 		ai.CumAck = c.rcvConn.CumulativeFrom(0)
 		ai.Ranges = c.appendSackBlocks(ai.Ranges, ai.CumAck)
 	} else {
-		max := c.cfg.Sem.MaxAckRanges
-		if max <= 0 {
-			max = 256
-		}
 		ai.Ranges = c.rcvPN.AppendAbove(ai.Ranges, 0, max)
 	}
 	pkt.ConnID = c.cfg.ConnID
@@ -960,20 +1005,28 @@ func (c *Conn) receiveAck(p *Packet) {
 // them in ascending PN order, in the conn's reused scratch slice, with the
 // live offset of the first (the list length when there is none). In
 // byte-stream mode a record is acked once the SACK scoreboard holds all of
-// its bytes; in packet-number mode once one of ranges holds its PN, matched
-// in a single merge walk of the ascending sent list against ranges, which
-// AppendAbove emits highest first.
+// its bytes; a record ending above the scoreboard's highest byte cannot be,
+// so it is passed over without a search (and without ending the walk: a
+// retransmission keeps its low connOff at a high PN). In packet-number mode
+// a record is acked once one of ranges holds its PN, matched in a single
+// merge walk of the ascending sent list against ranges, which AppendAbove
+// emits highest first.
 func (c *Conn) markAcked(ranges []Range) ([]*SentPacket, int) {
 	newlyAcked := c.ackScratch[:0]
 	from := c.sent.len()
 	j := len(ranges) - 1
+	var highest int64 = -1 // byte-stream mode: end of the highest SACKed byte
+	if r, ok := c.ackedBytes.Last(); ok {
+		highest = r.End
+	}
 	for i, sp := range c.sent.live() {
 		if sp.Acked || sp.Lost {
 			continue
 		}
 		if c.cfg.Sem.ByteStream {
 			start := sp.Chunk.connOff
-			if !c.ackedBytes.Contains(start, start+int64(sp.Chunk.len)) {
+			end := start + int64(sp.Chunk.len)
+			if end > highest || !c.ackedBytes.Contains(start, end) {
 				continue
 			}
 		} else {

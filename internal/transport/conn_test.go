@@ -418,39 +418,94 @@ func TestNetworkDispatchesMultipleConns(t *testing.T) {
 	}
 }
 
-// TestMarkAckedMatchesNaive checks the packet-number merge walk against a
-// naive "some range holds the PN" scan. The outstanding records ascend with
-// gaps, some already acked or lost; the ack ranges come from a received set
-// with more holes than the 256 ranges an ack carries, so the lowest PNs fall
-// outside every range. After compactSent, told of the records marked here and
+// TestMarkAckedMatchesNaive checks markAcked against a naive "some range
+// holds the record" scan, in both modes. The outstanding records ascend in
+// PN with gaps, some already acked or lost. In packet-number mode the ack
+// ranges come from a received set with more holes than the 256 ranges an
+// ack carries, so the lowest PNs fall outside every range. In byte-stream
+// mode retransmissions (higher PNs, lower connection offsets) are mixed into
+// the first transmissions, and the SACK scoreboard holds a cumulative prefix
+// and scattered blocks, one ending exactly at a record's end, below the top
+// of the sent bytes. After compactSent, told of the records marked here and
 // in the setup, the sent list must hold exactly the naive survivors.
 func TestMarkAckedMatchesNaive(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
+	mss := congestion.DefaultMSS
+	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var rcv RangeSet
+		byteStream := seed%2 == 0
+		sem := quicLikeSem(false)
+		if byteStream {
+			sem = tcpLikeSem(false)
+		}
+		c := NewConn(simnet.New(seed), Config{CC: newCC(), Sem: sem}, func(simnet.Frame) {})
 		const top = 3000
-		for pn := int64(0); pn < top; pn++ {
-			if rng.Intn(3) != 0 {
-				rcv.Add(pn, pn+1)
-			}
-		}
-		if len(rcv.rs) <= 257 {
-			t.Fatalf("seed %d: received set has %d ranges, want > 257", seed, len(rcv.rs))
-		}
-		ranges := rcv.AppendAbove(nil, 0, 256)
-
-		c := NewConn(simnet.New(seed), Config{CC: newCC(), Sem: quicLikeSem(false)}, func(simnet.Frame) {})
-		wantAcked := map[*SentPacket]bool{}
-		var wantNew, wantLive []int64
-		preFrom, preDead := math.MaxInt, 0 // no record marked yet
+		var recs []*SentPacket
+		var firsts []chunk
+		var connOff int64
 		for pn := int64(0); pn < top+50; pn += 1 + rng.Int63n(3) {
-			sp := &SentPacket{PN: pn}
+			sp := &SentPacket{PN: pn, Chunk: chunk{streamID: 1, len: mss, connOff: -1}}
+			if byteStream {
+				if len(firsts) > 0 && rng.Intn(4) == 0 {
+					sp.Chunk = firsts[rng.Intn(len(firsts))]
+					sp.Chunk.rexmit = true
+				} else {
+					sp.Chunk.len = 1 + rng.Intn(mss)
+					sp.Chunk.connOff = connOff
+					connOff += int64(sp.Chunk.len)
+					firsts = append(firsts, sp.Chunk)
+				}
+			}
 			switch rng.Intn(6) {
 			case 0:
 				sp.Acked = true
 			case 1:
 				sp.Lost = true
 			}
+			recs = append(recs, sp)
+		}
+
+		var ranges []Range
+		if byteStream {
+			c.ackedBytes.Add(0, connOff/8)
+			for k := 0; k < 40; k++ {
+				lo := rng.Int63n(connOff * 3 / 4)
+				c.ackedBytes.Add(lo, lo+1+rng.Int63n(int64(20*mss)))
+			}
+			f := firsts[len(firsts)*7/8]
+			c.ackedBytes.Add(f.connOff-int64(mss), f.connOff+int64(f.len))
+			ranges = c.ackedBytes.AppendAbove(nil, 0, 3)
+		} else {
+			var rcv RangeSet
+			for pn := int64(0); pn < top; pn++ {
+				if rng.Intn(3) != 0 {
+					rcv.Add(pn, pn+1)
+				}
+			}
+			if len(rcv.rs) <= 257 {
+				t.Fatalf("seed %d: received set has %d ranges, want > 257", seed, len(rcv.rs))
+			}
+			ranges = rcv.AppendAbove(nil, 0, 256)
+		}
+		holds := func(sp *SentPacket) bool {
+			lo, hi := sp.PN, sp.PN+1
+			rs := ranges
+			if byteStream {
+				lo, hi = sp.Chunk.connOff, sp.Chunk.connOff+int64(sp.Chunk.len)
+				rs = c.ackedBytes.rs
+			}
+			for _, r := range rs {
+				if r.Start <= lo && hi <= r.End {
+					return true
+				}
+			}
+			return false
+		}
+
+		wantAcked := map[*SentPacket]bool{}
+		var wantNew, wantLive []int64
+		preFrom, preDead := math.MaxInt, 0 // no record marked yet
+		rexmitsAcked := 0
+		for _, sp := range recs {
 			if sp.Acked || sp.Lost {
 				if preDead == 0 {
 					preFrom = c.sent.len()
@@ -458,24 +513,25 @@ func TestMarkAckedMatchesNaive(t *testing.T) {
 				preDead++
 			}
 			c.sent.push(sp)
-			inRange := false
-			for _, r := range ranges {
-				if r.Start <= pn && pn < r.End {
-					inRange = true
-				}
-			}
+			inRange := holds(sp)
 			if !sp.Acked && !sp.Lost && inRange {
-				wantNew = append(wantNew, pn)
+				wantNew = append(wantNew, sp.PN)
+				if sp.Chunk.rexmit {
+					rexmitsAcked++
+				}
 			}
 			wantAcked[sp] = sp.Acked || (!sp.Lost && inRange)
 			if !wantAcked[sp] && !sp.Lost {
-				wantLive = append(wantLive, pn)
+				wantLive = append(wantLive, sp.PN)
 			}
+		}
+		if byteStream && (rexmitsAcked == 0 || len(wantLive) == 0) {
+			t.Fatalf("seed %d: %d retransmissions newly acked and %d records left live; the case checks nothing", seed, rexmitsAcked, len(wantLive))
 		}
 
 		got, from := c.markAcked(ranges)
 		if len(got) != len(wantNew) {
-			t.Fatalf("seed %d: %d records newly acked, want %d", seed, len(got), len(wantNew))
+			t.Fatalf("seed %d (ByteStream=%v): %d records newly acked, want %d", seed, byteStream, len(got), len(wantNew))
 		}
 		for i, sp := range got {
 			if sp.PN != wantNew[i] {

@@ -70,41 +70,123 @@ type Packet struct {
 
 	// ackStore is the AckInfo (and its range storage) Ack points at when the
 	// packet was built by a pooling sender; its Ranges capacity survives
-	// recycling so steady-state acks allocate nothing.
+	// recycling through the pool's ack list, so steady-state acks allocate
+	// nothing.
 	ackStore AckInfo
 }
 
-// packetPool recycles Packets between the two halves of a Network. A packet
-// is created by the sending Conn, crosses the simulated link, and is
-// returned to the pool by the Network once the receiving Conn has consumed
-// it (Receive copies everything it keeps), so in steady state the send path
-// allocates no packets. Frames dropped by the link simply fall to the
-// garbage collector — a drop is rare relative to a delivery and recycling it
-// would couple the link layer to the payload type.
+// packetPool recycles the per-packet objects of all the conns on a Network:
+// wire packets and sent records. A packet drawn by the sending Conn comes
+// back once the receiving Conn has consumed it (Receive copies everything it
+// keeps), once the link discards it — random loss alone drops 3.3–6% of the
+// frames on the in-flight networks, before any droptail victim — or, when
+// the Network is reset, while it is still in flight. So in steady state the
+// send path allocates no packets. Ack packets keep their grown range
+// storage, which data and handshake packets never need, on free lists of
+// their own: one for short acks and one for long ones (a lossy QUIC
+// connection's acks carry up to 256 ranges). Short acks are the most
+// numerous, and drawing them from the long list would leave the largest
+// storage on every ack packet the pool holds. Sent records come back when
+// compactSent drops them or the Network is reset.
 type packetPool struct {
-	free []*Packet
+	data freeList[Packet]     // handshake and data packets
+	acks [2]freeList[Packet]  // ack packets by range storage: short, then long
+	sent freeList[SentPacket] // in-flight records
 }
 
-// Get returns a zeroed packet, reusing ack-range capacity when available.
+// longAck is the range count above which an ack is drawn from, and its
+// packet returned to, the long-ack list.
+const longAck = 16
+
+func ackClass(ranges int) int {
+	if ranges > longAck {
+		return 1
+	}
+	return 0
+}
+
+// Get returns a zeroed handshake or data packet.
 func (pp *packetPool) Get() *Packet {
-	if n := len(pp.free); n > 0 {
-		p := pp.free[n-1]
-		pp.free[n-1] = nil
-		pp.free = pp.free[:n-1]
-		ranges := p.ackStore.Ranges[:0]
+	if p := pp.data.get(); p != nil {
 		*p = Packet{}
-		p.ackStore.Ranges = ranges
 		return p
 	}
 	return &Packet{}
 }
 
-// Put returns a consumed packet to the pool.
-func (pp *packetPool) Put(p *Packet) {
+// GetAck returns a zeroed packet for an ack of about the given number of
+// ranges, reusing the range capacity of an earlier ack of its class when
+// one is free.
+func (pp *packetPool) GetAck(ranges int) *Packet {
+	p := pp.acks[ackClass(ranges)].get()
 	if p == nil {
-		return
+		return &Packet{}
 	}
-	pp.free = append(pp.free, p)
+	store := p.ackStore.Ranges[:0]
+	*p = Packet{}
+	p.ackStore.Ranges = store
+	return p
+}
+
+// Put returns a consumed or discarded packet to the pool.
+func (pp *packetPool) Put(p *Packet) {
+	if p.Kind == KindAck {
+		pp.acks[ackClass(cap(p.ackStore.Ranges))].put(p)
+	} else {
+		pp.data.put(p)
+	}
+}
+
+// GetSent returns a zeroed in-flight record.
+func (pp *packetPool) GetSent() *SentPacket {
+	if sp := pp.sent.get(); sp != nil {
+		*sp = SentPacket{}
+		return sp
+	}
+	return &SentPacket{}
+}
+
+// PutSent returns a record no sent list holds any more.
+func (pp *packetPool) PutSent(sp *SentPacket) { pp.sent.put(sp) }
+
+// trim lets go of what the run since the last trim never drew.
+func (pp *packetPool) trim() {
+	pp.data.trim()
+	pp.acks[0].trim()
+	pp.acks[1].trim()
+	pp.sent.trim()
+}
+
+// freeList is a LIFO free list that remembers the fewest entries it held
+// since its last trim. The entries below that mark were not drawn in that
+// time, so a trim between runs lets them go, and a list keeps no more than
+// the last run needed at its peak rather than the most any run ever did.
+type freeList[T any] struct {
+	free []*T
+	low  int // fewest entries held since the last trim
+}
+
+// get takes the newest entry off the list, or returns nil.
+func (l *freeList[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	v := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	l.low = min(l.low, n-1)
+	return v
+}
+
+func (l *freeList[T]) put(v *T) { l.free = append(l.free, v) }
+
+// trim drops the entries not drawn since the last trim.
+func (l *freeList[T]) trim() {
+	n := copy(l.free, l.free[l.low:])
+	clear(l.free[n:])
+	l.free = l.free[:n]
+	l.low = n
 }
 
 func (p *Packet) String() string {
@@ -134,8 +216,8 @@ type chunk struct {
 // fifo is a slice consumed from head, so draining does not reallocate and
 // popping writes nothing. The consumed prefix is reclaimed before the slice
 // grows, once it is at least half the slice, so capacity stays bounded by
-// the live contents. It backs the send queue, the retransmission queue and
-// the sent list.
+// the live contents. It backs the send queue, the retransmission queue, the
+// sent list and the receiver's segment reorder queue.
 type fifo[T any] struct {
 	buf  []T
 	head int
