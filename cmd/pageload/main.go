@@ -20,7 +20,7 @@ import (
 func main() {
 	siteName := flag.String("site", "wikipedia.org", "site from the 36-site corpus")
 	netName := flag.String("net", "DSL", "network: DSL, LTE, DA2GC, MSS, or a scenario-library name")
-	protoName := flag.String("proto", "QUIC", "protocol: TCP, TCP+, TCP+BBR, QUIC, QUIC+BBR, QUIC-0RTT")
+	protoName := flag.String("proto", "QUIC", "protocol: TCP, TCP+, TCP+BBR, QUIC, QUIC+BBR, QUIC-0RTT, QUIC-nopacing")
 	seed := flag.Int64("seed", 1, "random seed")
 	trace := flag.Bool("trace", false, "print the visual-progress trace")
 	list := flag.Bool("list", false, "list corpus sites and exit")

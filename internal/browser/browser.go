@@ -22,8 +22,8 @@ import (
 type Config struct {
 	// Network is the Table 2 row to emulate.
 	Network simnet.NetworkConfig
-	// Proto is the Table 1 protocol stack.
-	Proto httpsim.Protocol
+	// Proto is the protocol stack: a Table 1 row or a variant of one.
+	Proto transport.Stack
 	// Seed drives all stochastic elements (loss draws) of this load.
 	Seed int64
 	// MaxLoadTime aborts pathological loads; 0 means the 5-minute default.

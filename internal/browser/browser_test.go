@@ -1,24 +1,22 @@
-package browser
+package browser_test
 
 import (
 	"testing"
 	"time"
 
-	"repro/internal/httpsim"
-	"repro/internal/quicsim"
+	"repro/internal/browser"
+	"repro/internal/core"
 	"repro/internal/simnet"
-	"repro/internal/tcpsim"
 	"repro/internal/webpage"
 )
 
-func tcpStock() httpsim.Protocol  { return httpsim.TCPStack{Opts: tcpsim.Stock()} }
-func quicStock() httpsim.Protocol { return httpsim.QUICStack{Opts: quicsim.Stock()} }
-
-func loadOne(t *testing.T, site *webpage.Site, net simnet.NetworkConfig, proto httpsim.Protocol, seed int64) Result {
+// loadOne loads site over net with the named preset and requires it to
+// complete with a valid trace.
+func loadOne(t *testing.T, site *webpage.Site, net simnet.NetworkConfig, proto string, seed int64) browser.Result {
 	t.Helper()
-	res := Load(site, Config{Network: net, Proto: proto, Seed: seed})
+	res := browser.Load(site, browser.Config{Network: net, Proto: core.MustProtocol(proto, net), Seed: seed})
 	if !res.Trace.Completed {
-		t.Fatalf("%s on %s via %s did not complete", site.Name, net.Name, proto.Name())
+		t.Fatalf("%s on %s via %s did not complete", site.Name, net.Name, proto)
 	}
 	if err := res.Trace.Validate(); err != nil {
 		t.Fatal(err)
@@ -28,7 +26,7 @@ func loadOne(t *testing.T, site *webpage.Site, net simnet.NetworkConfig, proto h
 
 func TestLoadSmallSiteDSL(t *testing.T) {
 	site := webpage.ByName("apache.org")
-	res := loadOne(t, site, simnet.DSL, tcpStock(), 1)
+	res := loadOne(t, site, simnet.DSL, "TCP", 1)
 	if res.Objects != len(site.Objects) {
 		t.Fatalf("loaded %d/%d objects", res.Objects, len(site.Objects))
 	}
@@ -48,7 +46,7 @@ func TestLoadSmallSiteDSL(t *testing.T) {
 func TestLoadAllLabSitesAllNetworks(t *testing.T) {
 	for _, site := range webpage.LabCorpus() {
 		for _, net := range simnet.Networks() {
-			res := loadOne(t, site, net, quicStock(), 7)
+			res := loadOne(t, site, net, "QUIC", 7)
 			if res.Report.SI <= 0 {
 				t.Fatalf("%s/%s: SI = %v", site.Name, net.Name, res.Report.SI)
 			}
@@ -58,7 +56,7 @@ func TestLoadAllLabSitesAllNetworks(t *testing.T) {
 
 func TestVisualCompletenessReachesOne(t *testing.T) {
 	site := webpage.ByName("wikipedia.org")
-	res := loadOne(t, site, simnet.DSL, quicStock(), 3)
+	res := loadOne(t, site, simnet.DSL, "QUIC", 3)
 	pts := res.Trace.Points
 	if len(pts) == 0 || pts[len(pts)-1].VC < 0.999 {
 		t.Fatalf("final VC below 1: %v", pts)
@@ -67,13 +65,13 @@ func TestVisualCompletenessReachesOne(t *testing.T) {
 
 func TestDeterministicLoads(t *testing.T) {
 	site := webpage.ByName("gov.uk")
-	a := Load(site, Config{Network: simnet.LTE, Proto: tcpStock(), Seed: 42})
-	b := Load(site, Config{Network: simnet.LTE, Proto: tcpStock(), Seed: 42})
+	a := browser.Load(site, browser.Config{Network: simnet.LTE, Proto: core.MustProtocol("TCP", simnet.LTE), Seed: 42})
+	b := browser.Load(site, browser.Config{Network: simnet.LTE, Proto: core.MustProtocol("TCP", simnet.LTE), Seed: 42})
 	if a.Report != b.Report {
 		t.Fatalf("same seed, different reports:\n%+v\n%+v", a.Report, b.Report)
 	}
-	c := Load(site, Config{Network: simnet.DA2GC, Proto: tcpStock(), Seed: 43})
-	d := Load(site, Config{Network: simnet.DA2GC, Proto: tcpStock(), Seed: 44})
+	c := browser.Load(site, browser.Config{Network: simnet.DA2GC, Proto: core.MustProtocol("TCP", simnet.DA2GC), Seed: 43})
+	d := browser.Load(site, browser.Config{Network: simnet.DA2GC, Proto: core.MustProtocol("TCP", simnet.DA2GC), Seed: 44})
 	if c.Report == d.Report {
 		t.Fatal("different seeds should differ on a lossy network")
 	}
@@ -83,8 +81,8 @@ func TestQUICFasterFVCOnCleanNetwork(t *testing.T) {
 	// The 1-RTT handshake advantage must surface in first visual change on
 	// a loss-free network (the paper's primary technical mechanism).
 	site := webpage.ByName("gov.uk")
-	tcp := loadOne(t, site, simnet.LTE, tcpStock(), 5)
-	quic := loadOne(t, site, simnet.LTE, quicStock(), 5)
+	tcp := loadOne(t, site, simnet.LTE, "TCP", 5)
+	quic := loadOne(t, site, simnet.LTE, "QUIC", 5)
 	if quic.Report.FVC >= tcp.Report.FVC {
 		t.Fatalf("QUIC FVC (%v) should beat TCP FVC (%v)", quic.Report.FVC, tcp.Report.FVC)
 	}
@@ -99,8 +97,8 @@ func TestQUICFasterFVCOnCleanNetwork(t *testing.T) {
 
 func TestSlowNetworkSlowerThanFast(t *testing.T) {
 	site := webpage.ByName("wikipedia.org")
-	dsl := loadOne(t, site, simnet.DSL, quicStock(), 9)
-	mss := loadOne(t, site, simnet.MSS, quicStock(), 9)
+	dsl := loadOne(t, site, simnet.DSL, "QUIC", 9)
+	mss := loadOne(t, site, simnet.MSS, "QUIC", 9)
 	if mss.Report.PLT <= 2*dsl.Report.PLT {
 		t.Fatalf("MSS (%v) should be far slower than DSL (%v)", mss.Report.PLT, dsl.Report.PLT)
 	}
@@ -108,7 +106,7 @@ func TestSlowNetworkSlowerThanFast(t *testing.T) {
 
 func TestMultiHostSiteOpensManyConns(t *testing.T) {
 	site := webpage.ByName("spotify.com")
-	res := loadOne(t, site, simnet.DSL, quicStock(), 11)
+	res := loadOne(t, site, simnet.DSL, "QUIC", 11)
 	if res.Conns < site.HostCount()/2 {
 		t.Fatalf("conns = %d for %d hosts", res.Conns, site.HostCount())
 	}
@@ -116,7 +114,7 @@ func TestMultiHostSiteOpensManyConns(t *testing.T) {
 
 func TestLossyNetworkCausesRetransmissions(t *testing.T) {
 	site := webpage.ByName("etsy.com")
-	res := loadOne(t, site, simnet.MSS, tcpStock(), 13)
+	res := loadOne(t, site, simnet.MSS, "TCP", 13)
 	if res.Retransmissions == 0 {
 		t.Fatal("6% loss must cause retransmissions")
 	}
@@ -126,7 +124,7 @@ func TestBannerSiteLateLVC(t *testing.T) {
 	// demorgen.be's welcome banner repaints late: LVC should sit well after
 	// VC85 (the Figure 1 situation that confused crowd voters).
 	site := webpage.ByName("demorgen.be")
-	res := loadOne(t, site, simnet.DSL, quicStock(), 15)
+	res := loadOne(t, site, simnet.DSL, "QUIC", 15)
 	r := res.Report
 	if r.LVC < r.VC85+r.VC85/4 {
 		t.Fatalf("banner should push LVC (%v) well past VC85 (%v)", r.LVC, r.VC85)
@@ -135,9 +133,9 @@ func TestBannerSiteLateLVC(t *testing.T) {
 
 func TestMaxLoadTimeAborts(t *testing.T) {
 	site := webpage.ByName("cnn.com") // ~6 MB
-	res := Load(site, Config{
+	res := browser.Load(site, browser.Config{
 		Network:     simnet.DA2GC, // 0.468 Mbps: needs ~2 min
-		Proto:       tcpStock(),
+		Proto:       core.MustProtocol("TCP", simnet.DA2GC),
 		Seed:        1,
 		MaxLoadTime: 2 * time.Second,
 	})

@@ -1,18 +1,15 @@
-package browser
+package browser_test
 
 import (
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/httpsim"
-	"repro/internal/quicsim"
+	"repro/internal/browser"
+	"repro/internal/core"
 	"repro/internal/simnet"
-	"repro/internal/tcpsim"
 	"repro/internal/webpage"
 )
-
-func quicBBR() httpsim.Protocol { return httpsim.QUICStack{Opts: quicsim.StockBBR()} }
 
 // TestReusedWorldMatchesFreshWorld runs a sequence of loads on one world and
 // checks each against the same load on a new world: the same Result, trace
@@ -23,24 +20,24 @@ func quicBBR() httpsim.Protocol { return httpsim.QUICStack{Opts: quicsim.StockBB
 func TestReusedWorldMatchesFreshWorld(t *testing.T) {
 	type step struct {
 		site string
-		cfg  Config
+		cfg  browser.Config
 	}
 	steps := []step{
-		{"etsy.com", Config{Network: simnet.DA2GC, Proto: quicBBR(), Seed: 3}},
-		{"wikipedia.org", Config{Network: simnet.DSL, Proto: tcpStock(), Seed: 4}},
-		{"cnn.com", Config{Network: simnet.DA2GC, Proto: tcpStock(), Seed: 5, MaxLoadTime: 2 * time.Second}},
-		{"demorgen.be", Config{Network: simnet.MSS, Proto: httpsim.TCPStack{Opts: tcpsim.Tuned(simnet.MSS.BDPBytes())}, Seed: 6}},
-		{"etsy.com", Config{Network: simnet.DA2GC, Proto: quicBBR(), Seed: 3}},
-		{"gov.uk", Config{Network: simnet.LTE, Proto: quicStock(), Seed: 7}},
+		{"etsy.com", browser.Config{Network: simnet.DA2GC, Proto: core.MustProtocol("QUIC+BBR", simnet.DA2GC), Seed: 3}},
+		{"wikipedia.org", browser.Config{Network: simnet.DSL, Proto: core.MustProtocol("TCP", simnet.DSL), Seed: 4}},
+		{"cnn.com", browser.Config{Network: simnet.DA2GC, Proto: core.MustProtocol("TCP", simnet.DA2GC), Seed: 5, MaxLoadTime: 2 * time.Second}},
+		{"demorgen.be", browser.Config{Network: simnet.MSS, Proto: core.MustProtocol("TCP+", simnet.MSS), Seed: 6}},
+		{"etsy.com", browser.Config{Network: simnet.DA2GC, Proto: core.MustProtocol("QUIC+BBR", simnet.DA2GC), Seed: 3}},
+		{"gov.uk", browser.Config{Network: simnet.LTE, Proto: core.MustProtocol("QUIC", simnet.LTE), Seed: 7}},
 	}
-	w := newWorld()
+	w := browser.NewWorld()
 	for i, st := range steps {
 		site := webpage.ByName(st.site)
-		got := w.load(site, st.cfg)
-		want := newWorld().load(site, st.cfg)
+		got := w.Load(site, st.cfg)
+		want := browser.NewWorld().Load(site, st.cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("load %d (%s on %s via %s): reused world gave %+v\nnew world gave %+v",
-				i, st.site, st.cfg.Network.Name, st.cfg.Proto.Name(), got, want)
+				i, st.site, st.cfg.Network.Name, st.cfg.Proto.Name, got, want)
 		}
 		if i == 2 && got.Trace.Completed {
 			t.Fatal("the cut-off load completed, so it left nothing queued")
@@ -58,11 +55,11 @@ func TestReusedWorldMatchesFreshWorld(t *testing.T) {
 func TestWarmWorldLoadAllocs(t *testing.T) {
 	const ceiling = 1500
 	site := webpage.ByName("etsy.com")
-	cfg := Config{Network: simnet.DA2GC, Proto: quicBBR(), Seed: 3}
-	w := newWorld()
-	w.load(site, cfg)
-	warm := testing.AllocsPerRun(3, func() { w.load(site, cfg) })
-	cold := testing.AllocsPerRun(3, func() { newWorld().load(site, cfg) })
+	cfg := browser.Config{Network: simnet.DA2GC, Proto: core.MustProtocol("QUIC+BBR", simnet.DA2GC), Seed: 3}
+	w := browser.NewWorld()
+	w.Load(site, cfg)
+	warm := testing.AllocsPerRun(3, func() { w.Load(site, cfg) })
+	cold := testing.AllocsPerRun(3, func() { browser.NewWorld().Load(site, cfg) })
 	t.Logf("allocs per load: %.0f on a warm world, %.0f on a new one", warm, cold)
 	if warm > ceiling {
 		t.Fatalf("a repeat load on a warm world allocates %.0f times, want <= %d", warm, ceiling)

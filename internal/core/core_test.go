@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/httpsim"
 	"repro/internal/simnet"
 	"repro/internal/study"
+	"repro/internal/transport"
 	"repro/internal/video"
 	"repro/internal/webpage"
 )
@@ -21,8 +21,8 @@ func TestProtocolCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() != name {
-			t.Fatalf("protocol %q reports name %q", name, p.Name())
+		if p.Name != name {
+			t.Fatalf("protocol %q reports name %q", name, p.Name)
 		}
 	}
 	if _, err := Protocol("SCTP", simnet.DSL); err == nil {
@@ -114,11 +114,11 @@ func TestPrewarmCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	realRecord := tb.record
-	tb.record = func(site *webpage.Site, net simnet.NetworkConfig, proto httpsim.Protocol, n int, baseSeed int64) []video.Recording {
+	tb.record = func(site *webpage.Site, net simnet.NetworkConfig, stack transport.Stack, n int, baseSeed int64) []video.Recording {
 		if calls.Add(1) == 1 {
 			cancel() // cancel as soon as the first recording starts
 		}
-		return realRecord(site, net, proto, n, baseSeed)
+		return realRecord(site, net, stack, n, baseSeed)
 	}
 
 	nets := []simnet.NetworkConfig{simnet.DSL, simnet.LTE}
@@ -259,9 +259,9 @@ func TestRecordingsSingleflight(t *testing.T) {
 	tb := NewTestbed(Scale{Sites: QuickScale().Sites[:1], Reps: 2}, 5)
 	var calls atomic.Int64
 	realRecord := tb.record
-	tb.record = func(site *webpage.Site, net simnet.NetworkConfig, proto httpsim.Protocol, n int, baseSeed int64) []video.Recording {
+	tb.record = func(site *webpage.Site, net simnet.NetworkConfig, stack transport.Stack, n int, baseSeed int64) []video.Recording {
 		calls.Add(1)
-		return realRecord(site, net, proto, n, baseSeed)
+		return realRecord(site, net, stack, n, baseSeed)
 	}
 	site := tb.Scale.Sites[0]
 

@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/httpsim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/video"
 	"repro/internal/webpage"
 )
@@ -59,7 +59,7 @@ type Testbed struct {
 	stats    CacheStats
 
 	// record is video.Record, injectable so tests can count invocations.
-	record func(site *webpage.Site, net simnet.NetworkConfig, proto httpsim.Protocol, n int, baseSeed int64) []video.Recording
+	record func(site *webpage.Site, net simnet.NetworkConfig, stack transport.Stack, n int, baseSeed int64) []video.Recording
 }
 
 // NewTestbed builds a testbed at the given scale.

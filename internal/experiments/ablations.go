@@ -10,11 +10,9 @@ import (
 
 	"repro/internal/browser"
 	"repro/internal/core"
-	"repro/internal/httpsim"
-	"repro/internal/quicsim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/tcpsim"
+	"repro/internal/transport"
 	"repro/internal/webpage"
 )
 
@@ -31,12 +29,12 @@ type AblationRow struct {
 }
 
 // meanSI loads each site reps times and returns the mean SI.
-func meanSI(sites []*webpage.Site, net simnet.NetworkConfig, proto httpsim.Protocol, reps int, seed int64) time.Duration {
+func meanSI(sites []*webpage.Site, net simnet.NetworkConfig, stack transport.Stack, reps int, seed int64) time.Duration {
 	var sis []float64
 	for _, site := range sites {
 		for i := 0; i < reps; i++ {
 			res := browser.Load(site, browser.Config{
-				Network: net, Proto: proto, Seed: seed + int64(i)*7919,
+				Network: net, Proto: stack, Seed: seed + int64(i)*7919,
 			})
 			if res.Report.Complete {
 				sis = append(sis, res.Report.SI.Seconds())
@@ -50,7 +48,7 @@ func meanSI(sites []*webpage.Site, net simnet.NetworkConfig, proto httpsim.Proto
 }
 
 func ablate(opts Options, nets []simnet.NetworkConfig, labelA, labelB string,
-	mk func(net simnet.NetworkConfig) (httpsim.Protocol, httpsim.Protocol)) []AblationRow {
+	mk func(net simnet.NetworkConfig) (transport.Stack, transport.Stack)) []AblationRow {
 	var rows []AblationRow
 	for _, net := range nets {
 		a, b := mk(net)
@@ -74,24 +72,20 @@ func ablate(opts Options, nets []simnet.NetworkConfig, labelA, labelB string,
 // DSL/LTE, and hurts on the thin-queue DA2GC link (the paper's inversion).
 func AblationIW(opts Options) []AblationRow {
 	return ablate(opts, simnet.Networks(), "TCP IW32", "TCP IW10",
-		func(net simnet.NetworkConfig) (httpsim.Protocol, httpsim.Protocol) {
-			iw32 := tcpsim.Stock()
-			iw32.Name = "TCP-IW32"
-			iw32.IWSegments = 32
-			return httpsim.TCPStack{Opts: iw32}, httpsim.TCPStack{Opts: tcpsim.Stock()}
+		func(net simnet.NetworkConfig) (transport.Stack, transport.Stack) {
+			iw32 := core.MustProtocol("TCP", net)
+			iw32.Name, iw32.IWSegments = "TCP-IW32", 32
+			return iw32, core.MustProtocol("TCP", net)
 		})
 }
 
 // AblationPacing isolates packet pacing on the tuned TCP stack (A2).
 func AblationPacing(opts Options) []AblationRow {
 	return ablate(opts, simnet.Networks(), "TCP+ paced", "TCP+ unpaced",
-		func(net simnet.NetworkConfig) (httpsim.Protocol, httpsim.Protocol) {
-			bdp := int(float64(net.DownlinkBps) / 8 * net.MinRTT.Seconds())
-			paced := tcpsim.Tuned(bdp)
-			unpaced := tcpsim.Tuned(bdp)
-			unpaced.Name = "TCP+nopacing"
-			unpaced.Pacing = false
-			return httpsim.TCPStack{Opts: paced}, httpsim.TCPStack{Opts: unpaced}
+		func(net simnet.NetworkConfig) (transport.Stack, transport.Stack) {
+			unpaced := core.MustProtocol("TCP+", net)
+			unpaced.Name, unpaced.Pacing = "TCP+nopacing", false
+			return core.MustProtocol("TCP+", net), unpaced
 		})
 }
 
@@ -100,9 +94,8 @@ func AblationPacing(opts Options) []AblationRow {
 // though window, pacing and CC match.
 func AblationHOL(opts Options) []AblationRow {
 	return ablate(opts, simnet.Networks(), "QUIC (per-stream)", "TCP+ (byte stream)",
-		func(net simnet.NetworkConfig) (httpsim.Protocol, httpsim.Protocol) {
-			bdp := int(float64(net.DownlinkBps) / 8 * net.MinRTT.Seconds())
-			return httpsim.QUICStack{Opts: quicsim.Stock()}, httpsim.TCPStack{Opts: tcpsim.Tuned(bdp)}
+		func(net simnet.NetworkConfig) (transport.Stack, transport.Stack) {
+			return core.MustProtocol("QUIC", net), core.MustProtocol("TCP+", net)
 		})
 }
 
@@ -110,11 +103,8 @@ func AblationHOL(opts Options) []AblationRow {
 // QUIC.
 func Ext0RTT(opts Options) []AblationRow {
 	return ablate(opts, simnet.Networks(), "QUIC 0-RTT", "QUIC 1-RTT",
-		func(net simnet.NetworkConfig) (httpsim.Protocol, httpsim.Protocol) {
-			zero := quicsim.Stock()
-			zero.Name = "QUIC-0RTT"
-			zero.ZeroRTT = true
-			return httpsim.QUICStack{Opts: zero}, httpsim.QUICStack{Opts: quicsim.Stock()}
+		func(net simnet.NetworkConfig) (transport.Stack, transport.Stack) {
+			return core.MustProtocol("QUIC-0RTT", net), core.MustProtocol("QUIC", net)
 		})
 }
 

@@ -11,42 +11,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/quicsim"
 	"repro/internal/simnet"
-	"repro/internal/tcpsim"
 	"repro/internal/transport"
 )
-
-// Protocol abstracts the two stacks under test so the browser and the
-// experiment harness can swap them per Table 1 row.
-type Protocol interface {
-	// Name returns the Table 1 label ("TCP", "TCP+", "QUIC+BBR", ...).
-	Name() string
-	// NewConnPair creates both halves of one connection on the network.
-	NewConnPair(net *transport.Network) (client, server *transport.Conn)
-}
-
-// TCPStack adapts tcpsim options to the Protocol interface.
-type TCPStack struct{ Opts tcpsim.Options }
-
-// Name implements Protocol.
-func (s TCPStack) Name() string { return s.Opts.Name }
-
-// NewConnPair implements Protocol.
-func (s TCPStack) NewConnPair(net *transport.Network) (*transport.Conn, *transport.Conn) {
-	return tcpsim.NewConnPair(net, s.Opts)
-}
-
-// QUICStack adapts quicsim options to the Protocol interface.
-type QUICStack struct{ Opts quicsim.Options }
-
-// Name implements Protocol.
-func (s QUICStack) Name() string { return s.Opts.Name }
-
-// NewConnPair implements Protocol.
-func (s QUICStack) NewConnPair(net *transport.Network) (*transport.Conn, *transport.Conn) {
-	return quicsim.NewConnPair(net, s.Opts)
-}
 
 const (
 	// requestBytes approximates a GET request with headers.
@@ -107,7 +74,7 @@ type hostConn struct {
 type Client struct {
 	sim   *simnet.Simulator
 	net   *transport.Network
-	proto Protocol
+	stack transport.Stack
 	hosts map[int]*hostConn
 
 	// Stats aggregated across all host connections.
@@ -116,9 +83,9 @@ type Client struct {
 	}
 }
 
-// NewClient builds an HTTP client speaking proto over net.
-func NewClient(sim *simnet.Simulator, net *transport.Network, proto Protocol) *Client {
-	return &Client{sim: sim, net: net, proto: proto, hosts: make(map[int]*hostConn)}
+// NewClient builds an HTTP client whose host connections run stack over net.
+func NewClient(sim *simnet.Simulator, net *transport.Network, stack transport.Stack) *Client {
+	return &Client{sim: sim, net: net, stack: stack, hosts: make(map[int]*hostConn)}
 }
 
 // Requests returns the number of issued requests.
@@ -183,7 +150,7 @@ func (c *Client) hostConn(host int) *hostConn {
 		return hc
 	}
 	hc := &hostConn{fetches: make(map[int]*Fetch), nextStream: 1}
-	hc.client, hc.server = c.proto.NewConnPair(c.net)
+	hc.client, hc.server = c.stack.NewConnPair(c.net)
 	c.hosts[host] = hc
 
 	hc.client.OnEstablished = func() {

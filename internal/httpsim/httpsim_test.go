@@ -1,38 +1,29 @@
-package httpsim
+package httpsim_test
 
 import (
 	"testing"
 	"time"
 
-	"repro/internal/quicsim"
+	"repro/internal/core"
+	"repro/internal/httpsim"
 	"repro/internal/simnet"
-	"repro/internal/tcpsim"
 	"repro/internal/transport"
 )
 
-func stacks() []Protocol {
-	return []Protocol{
-		TCPStack{Opts: tcpsim.Stock()},
-		TCPStack{Opts: tcpsim.Tuned(100_000)},
-		QUICStack{Opts: quicsim.Stock()},
-		QUICStack{Opts: quicsim.StockBBR()},
+// stacks returns the Table 1 stacks parameterized for net.
+func stacks(net simnet.NetworkConfig) []transport.Stack {
+	var out []transport.Stack
+	for _, name := range core.ProtocolNames() {
+		out = append(out, core.MustProtocol(name, net))
 	}
-}
-
-func TestProtocolNames(t *testing.T) {
-	want := []string{"TCP", "TCP+", "QUIC", "QUIC+BBR"}
-	for i, s := range stacks() {
-		if s.Name() != want[i] {
-			t.Fatalf("stack %d name = %q, want %q", i, s.Name(), want[i])
-		}
-	}
+	return out
 }
 
 func TestSingleFetchAllStacks(t *testing.T) {
-	for _, proto := range stacks() {
+	for _, stack := range stacks(simnet.DSL) {
 		sim := simnet.New(21)
 		net := transport.NewNetwork(sim, simnet.DSL)
-		c := NewClient(sim, net, proto)
+		c := httpsim.NewClient(sim, net, stack)
 		var last int64
 		var done time.Duration
 		c.Fetch(0, 100_000, 0,
@@ -40,13 +31,13 @@ func TestSingleFetchAllStacks(t *testing.T) {
 			func() { done = sim.Now() })
 		sim.RunUntil(time.Minute)
 		if done == 0 {
-			t.Fatalf("%s: fetch incomplete", proto.Name())
+			t.Fatalf("%s: fetch incomplete", stack.Name)
 		}
 		if last != 100_000 {
-			t.Fatalf("%s: progress = %d", proto.Name(), last)
+			t.Fatalf("%s: progress = %d", stack.Name, last)
 		}
 		if c.Requests() != 1 {
-			t.Fatalf("%s: requests = %d", proto.Name(), c.Requests())
+			t.Fatalf("%s: requests = %d", stack.Name, c.Requests())
 		}
 	}
 }
@@ -54,7 +45,7 @@ func TestSingleFetchAllStacks(t *testing.T) {
 func TestFetchBeforeEstablishQueues(t *testing.T) {
 	sim := simnet.New(3)
 	net := transport.NewNetwork(sim, simnet.LTE)
-	c := NewClient(sim, net, QUICStack{Opts: quicsim.Stock()})
+	c := httpsim.NewClient(sim, net, core.MustProtocol("QUIC", simnet.LTE))
 	done := 0
 	// Two fetches to the same host issued immediately: both must wait for
 	// the handshake, then complete.
@@ -72,7 +63,7 @@ func TestFetchBeforeEstablishQueues(t *testing.T) {
 func TestPerHostConnections(t *testing.T) {
 	sim := simnet.New(3)
 	net := transport.NewNetwork(sim, simnet.DSL)
-	c := NewClient(sim, net, TCPStack{Opts: tcpsim.Stock()})
+	c := httpsim.NewClient(sim, net, core.MustProtocol("TCP", simnet.DSL))
 	done := 0
 	for host := 0; host < 4; host++ {
 		c.Fetch(host, 5_000, 0, nil, func() { done++ })
@@ -88,7 +79,7 @@ func TestPriorityInterleaving(t *testing.T) {
 	// response issued slightly later on the same connection.
 	sim := simnet.New(5)
 	net := transport.NewNetwork(sim, simnet.LTE)
-	c := NewClient(sim, net, TCPStack{Opts: tcpsim.Stock()})
+	c := httpsim.NewClient(sim, net, core.MustProtocol("TCP", simnet.LTE))
 	var bigDone, smallDone time.Duration
 	c.Fetch(0, 2_000_000, 3, nil, func() { bigDone = sim.Now() })
 	sim.Schedule(400*time.Millisecond, func() {
@@ -108,7 +99,7 @@ func TestRoundRobinWithinPriority(t *testing.T) {
 	// much closer than sequential transmission would give.
 	sim := simnet.New(7)
 	net := transport.NewNetwork(sim, simnet.LTE)
-	c := NewClient(sim, net, QUICStack{Opts: quicsim.Stock()})
+	c := httpsim.NewClient(sim, net, core.MustProtocol("QUIC", simnet.LTE))
 	var d1, d2 time.Duration
 	c.Fetch(0, 400_000, 3, nil, func() { d1 = sim.Now() })
 	c.Fetch(0, 400_000, 3, nil, func() { d2 = sim.Now() })
@@ -130,7 +121,7 @@ func TestRoundRobinWithinPriority(t *testing.T) {
 func TestProgressMonotonic(t *testing.T) {
 	sim := simnet.New(9)
 	net := transport.NewNetwork(sim, simnet.DA2GC)
-	c := NewClient(sim, net, QUICStack{Opts: quicsim.Stock()})
+	c := httpsim.NewClient(sim, net, core.MustProtocol("QUIC", simnet.DA2GC))
 	var prev int64 = -1
 	ok := true
 	c.Fetch(0, 150_000, 0, func(n int64) {
@@ -149,10 +140,10 @@ func TestProgressMonotonic(t *testing.T) {
 }
 
 func TestLossyNetworkAllStacksComplete(t *testing.T) {
-	for _, proto := range stacks() {
+	for _, stack := range stacks(simnet.MSS) {
 		sim := simnet.New(11)
 		net := transport.NewNetwork(sim, simnet.MSS)
-		c := NewClient(sim, net, proto)
+		c := httpsim.NewClient(sim, net, stack)
 		done := 0
 		for i := 0; i < 3; i++ {
 			c.Fetch(i%2, 80_000, i, nil, func() { done++ })
@@ -160,7 +151,7 @@ func TestLossyNetworkAllStacksComplete(t *testing.T) {
 		sim.RunUntil(5 * time.Minute)
 		if done != 3 {
 			t.Fatalf("%s on MSS: done = %d/3 (retx=%d rtos=%d)",
-				proto.Name(), done, c.Retransmissions(), c.RTOs())
+				stack.Name, done, c.Retransmissions(), c.RTOs())
 		}
 	}
 }
@@ -168,7 +159,7 @@ func TestLossyNetworkAllStacksComplete(t *testing.T) {
 func TestFetchPanicsOnBadSize(t *testing.T) {
 	sim := simnet.New(1)
 	net := transport.NewNetwork(sim, simnet.DSL)
-	c := NewClient(sim, net, TCPStack{Opts: tcpsim.Stock()})
+	c := httpsim.NewClient(sim, net, core.MustProtocol("TCP", simnet.DSL))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")

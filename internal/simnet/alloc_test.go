@@ -123,8 +123,8 @@ func TestLinkDrainAtRunUntilDeadline(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("frame delivered before PropDelay elapsed")
 	}
-	if got := l.QueuedBytes(); got != 0 {
-		t.Fatalf("QueuedBytes at the departure deadline = %d, want 0", got)
+	if got := queuedBytes(l); got != 0 {
+		t.Fatalf("queued bytes at the departure deadline = %d, want 0", got)
 	}
 	// The queue has room again, exactly as with eager bookkeeping events.
 	l.Send(Frame{Size: 1000})

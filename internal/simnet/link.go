@@ -26,14 +26,6 @@ type LinkStats struct {
 	MaxQueueBytes int
 }
 
-// LossRatio returns the fraction of sent frames dropped for any reason.
-func (st LinkStats) LossRatio() float64 {
-	if st.Sent == 0 {
-		return 0
-	}
-	return float64(st.DroppedLoss+st.DroppedQueue) / float64(st.Sent)
-}
-
 // frameNode is one accepted frame riding the link, on an intrusive FIFO.
 // Nodes come from the link's free list, so steady-state sending allocates
 // nothing.
@@ -171,12 +163,6 @@ func (l *Link) drain() {
 		l.queuedBytes -= n.frame.Size
 		l.undeparted = n.next
 	}
-}
-
-// QueuedBytes returns the current queue occupancy.
-func (l *Link) QueuedBytes() int {
-	l.drain()
-	return l.queuedBytes
 }
 
 // Send pushes a frame onto the link. The frame is dropped (handed to Drop)

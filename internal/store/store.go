@@ -153,6 +153,17 @@ func sumFrame(key string, payload []byte) [sha256.Size]byte {
 	return sum
 }
 
+// frameHeader is the frame prefix of an entry; the key and payload follow it.
+func frameHeader(key string, payload []byte) [headerLen]byte {
+	var hdr [headerLen]byte
+	n := copy(hdr[:], magic)
+	binary.BigEndian.PutUint32(hdr[n:n+4], uint32(len(key)))
+	binary.BigEndian.PutUint64(hdr[n+4:n+12], uint64(len(payload)))
+	sum := sumFrame(key, payload)
+	copy(hdr[n+12:], sum[:])
+	return hdr
+}
+
 // Has reports (by a single stat, no read or checksum) whether a committed
 // entry exists for id with the exact size its frame would occupy given the
 // key and payload lengths — the cheap probe Put uses to skip rewrites and
@@ -192,13 +203,7 @@ func (s *Store) Put(id, key string, payload []byte) error {
 	tmp := f.Name()
 	defer os.Remove(tmp) // no-op after a successful rename
 
-	var hdr [headerLen]byte
-	n := copy(hdr[:], magic)
-	binary.BigEndian.PutUint32(hdr[n:n+4], uint32(len(key)))
-	binary.BigEndian.PutUint64(hdr[n+4:n+12], uint64(len(payload)))
-	sum := sumFrame(key, payload)
-	copy(hdr[n+12:], sum[:])
-
+	hdr := frameHeader(key, payload)
 	_, err = f.Write(hdr[:])
 	if err == nil {
 		_, err = f.WriteString(key)
@@ -264,11 +269,14 @@ func parseFrame(raw []byte) (key string, payload []byte, err error) {
 	if string(raw[:len(magic)]) != magic {
 		return "", nil, fmt.Errorf("%w: bad magic", errCorrupt)
 	}
-	keyLen := binary.BigEndian.Uint32(raw[len(magic) : len(magic)+4])
+	keyLen := uint64(binary.BigEndian.Uint32(raw[len(magic) : len(magic)+4]))
 	payloadLen := binary.BigEndian.Uint64(raw[len(magic)+4 : len(magic)+12])
-	if int64(len(raw)) != frameSize(int(keyLen), int(payloadLen)) {
+	// Compare in uint64 before converting: a declared length near 2^64
+	// would wrap negative as an int and pass a signed size check.
+	content := uint64(len(raw) - headerLen)
+	if keyLen > content || payloadLen != content-keyLen {
 		return "", nil, fmt.Errorf("%w: frame declares %d+%d content bytes but file holds %d",
-			errCorrupt, keyLen, payloadLen, int64(len(raw))-int64(headerLen))
+			errCorrupt, keyLen, payloadLen, content)
 	}
 	key = string(raw[headerLen : headerLen+int(keyLen)])
 	payload = raw[headerLen+int(keyLen):]

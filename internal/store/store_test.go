@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,6 +221,13 @@ func TestCorruptEntriesQuarantined(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	corruptionCase(t, "lengths_wrap", func(t *testing.T, path string) {
+		// Key length 10 and payload length 2^64-5 sum to the 5 content
+		// bytes of a 57-byte file only if the payload length wraps to -5.
+		if err := os.WriteFile(path, wrappedFrame(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
 	corruptionCase(t, "bad_magic", func(t *testing.T, path string) {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -237,6 +246,47 @@ func TestCorruptEntriesQuarantined(t *testing.T) {
 		raw[len(magic)+12] ^= 0x80
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// wrappedFrame is a 57-byte entry whose declared lengths, 10 and 2^64-5,
+// sum to its 5 content bytes modulo 2^64.
+func wrappedFrame() []byte {
+	raw := make([]byte, headerLen+5)
+	copy(raw, magic)
+	binary.BigEndian.PutUint32(raw[len(magic):], 10)
+	binary.BigEndian.PutUint64(raw[len(magic)+4:], math.MaxUint64-4)
+	return raw
+}
+
+// FuzzParseFrame feeds arbitrary entry files to the frame reader: it must
+// never panic, and every frame it accepts must be exactly the frame Put
+// writes for the key and payload it returned.
+func FuzzParseFrame(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put("seed01", "some-key", []byte(`{"type":"row","v":1}`+"\n")); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "seed01"+entrySuffix))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(wrappedFrame())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		key, payload, err := parseFrame(raw)
+		if err != nil {
+			return
+		}
+		hdr := frameHeader(key, payload)
+		again := append(append(hdr[:], key...), payload...)
+		if !bytes.Equal(again, raw) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", again, raw)
 		}
 	})
 }

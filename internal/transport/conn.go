@@ -25,8 +25,8 @@ type HandshakeStep struct {
 }
 
 // Semantics captures the protocol-level differences between the TCP and
-// QUIC models. tcpsim and quicsim construct these; everything else in the
-// engine is shared.
+// QUIC models. Each Stack carries one (core's preset table holds the TCP and
+// QUIC values); everything else in the engine is shared.
 type Semantics struct {
 	// ByteStream selects TCP delivery: one in-order connection byte stream
 	// (a hole blocks all streams behind it) with cumulative ACK + up to
@@ -299,9 +299,6 @@ func (c *Conn) SetPeerRecvBuf(n int64) {
 		c.peerRwnd = n
 	}
 }
-
-// Established reports whether the handshake has completed on this side.
-func (c *Conn) Established() bool { return c.established }
 
 // SRTT exposes the smoothed RTT estimate.
 func (c *Conn) SRTT() time.Duration { return c.rtt.SRTT() }

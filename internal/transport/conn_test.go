@@ -148,11 +148,11 @@ func TestHandshakeZeroRTTScript(t *testing.T) {
 	env := newPair(t, simnet.DSL, sem, 1)
 	env.client.Start()
 	env.server.Start()
-	if !env.client.Established() {
+	if !env.client.established {
 		t.Fatal("0-RTT client should be established at Start")
 	}
 	env.sim.Run()
-	if !env.server.Established() {
+	if !env.server.established {
 		t.Fatal("server should establish on CHLO receipt")
 	}
 }
@@ -166,7 +166,7 @@ func TestHandshakeSurvivesLoss(t *testing.T) {
 		env.client.Start()
 		env.server.Start()
 		env.sim.RunUntil(3 * time.Minute)
-		if !env.client.Established() {
+		if !env.client.established {
 			t.Fatalf("seed %d: client never established", seed)
 		}
 	}

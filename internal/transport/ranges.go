@@ -1,7 +1,7 @@
 // Package transport provides the shared reliability machinery underneath
 // both protocol models: sequence-range bookkeeping, RTT estimation
 // (RFC 6298), sent-packet tracking with delivery-rate sampling, and a
-// generic reliable-transfer engine that tcpsim and quicsim specialize.
+// generic reliable-transfer engine that a Stack's Semantics specialize.
 //
 // The two specializations differ exactly where the paper says the protocols
 // differ (§4.3): TCP delivers one in-order byte stream (a loss blocks

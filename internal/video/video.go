@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"repro/internal/browser"
-	"repro/internal/httpsim"
 	"repro/internal/metrics"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/webpage"
 )
 
@@ -58,15 +58,15 @@ type Recording struct {
 // Record loads the site n times under the given network and protocol
 // (distinct deterministic seeds) and returns all recordings — the paper
 // records each condition at least 31 times.
-func Record(site *webpage.Site, netCfg simnet.NetworkConfig, proto httpsim.Protocol, n int, baseSeed int64) []Recording {
+func Record(site *webpage.Site, netCfg simnet.NetworkConfig, stack transport.Stack, n int, baseSeed int64) []Recording {
 	recs := make([]Recording, 0, n)
 	for i := 0; i < n; i++ {
 		seed := baseSeed + int64(i)*1_000_003
-		res := browser.Load(site, browser.Config{Network: netCfg, Proto: proto, Seed: seed})
+		res := browser.Load(site, browser.Config{Network: netCfg, Proto: stack, Seed: seed})
 		recs = append(recs, Recording{
 			Site:            site.Name,
 			Network:         netCfg.Name,
-			Protocol:        proto.Name(),
+			Protocol:        stack.Name,
 			Seed:            seed,
 			Trace:           res.Trace,
 			Report:          res.Report,

@@ -1,21 +1,20 @@
-package video
+package video_test
 
 import (
 	"testing"
 	"time"
 
-	"repro/internal/httpsim"
+	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/quicsim"
 	"repro/internal/simnet"
-	"repro/internal/tcpsim"
+	"repro/internal/video"
 	"repro/internal/webpage"
 )
 
-func record(t *testing.T, n int) []Recording {
+func record(t *testing.T, n int) []video.Recording {
 	t.Helper()
 	site := webpage.ByName("gov.uk")
-	recs := Record(site, simnet.LTE, httpsim.QUICStack{Opts: quicsim.Stock()}, n, 1000)
+	recs := video.Record(site, simnet.LTE, core.MustProtocol("QUIC", simnet.LTE), n, 1000)
 	if len(recs) != n {
 		t.Fatalf("recorded %d, want %d", len(recs), n)
 	}
@@ -31,7 +30,7 @@ func TestRecordBasics(t *testing.T) {
 		if r.Site != "gov.uk" || r.Network != "LTE" || r.Protocol != "QUIC" {
 			t.Fatalf("rec %d metadata: %+v", i, r)
 		}
-		if r.Frame != Red && r.Frame != Green && r.Frame != Blue {
+		if r.Frame != video.Red && r.Frame != video.Green && r.Frame != video.Blue {
 			t.Fatalf("rec %d frame colour invalid", i)
 		}
 	}
@@ -46,7 +45,7 @@ func TestRecordDistinctSeeds(t *testing.T) {
 
 func TestSelectTypical(t *testing.T) {
 	recs := record(t, 7)
-	typ, err := SelectTypical(recs)
+	typ, err := video.SelectTypical(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,34 +75,34 @@ func TestSelectTypicalSkipsIncomplete(t *testing.T) {
 	bad := recs[0]
 	bad.Report.Complete = false
 	bad.Report.PLT = time.Hour // would dominate the mean if not excluded
-	all := append([]Recording{bad}, recs...)
-	typ, err := SelectTypical(all)
+	all := append([]video.Recording{bad}, recs...)
+	typ, err := video.SelectTypical(all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if typ.Report.PLT == time.Hour {
 		t.Fatal("incomplete recording selected")
 	}
-	if _, err := SelectTypical([]Recording{bad}); err == nil {
+	if _, err := video.SelectTypical([]video.Recording{bad}); err == nil {
 		t.Fatal("all-incomplete should error")
 	}
 }
 
 func TestNewABVideoValidation(t *testing.T) {
 	recs := record(t, 2)
-	if _, err := NewABVideo(recs[0], recs[1]); err != nil {
+	if _, err := video.NewABVideo(recs[0], recs[1]); err != nil {
 		t.Fatal(err)
 	}
 	other := recs[1]
 	other.Network = "DSL"
-	if _, err := NewABVideo(recs[0], other); err == nil {
+	if _, err := video.NewABVideo(recs[0], other); err == nil {
 		t.Fatal("mismatched networks must be rejected")
 	}
 }
 
 func TestABVideoDuration(t *testing.T) {
 	recs := record(t, 2)
-	v, _ := NewABVideo(recs[0], recs[1])
+	v, _ := video.NewABVideo(recs[0], recs[1])
 	min := recs[0].Report.PLT
 	if recs[1].Report.PLT > min {
 		min = recs[1].Report.PLT
@@ -117,13 +116,13 @@ func TestRecordTCPvsQUICTypicalOrdering(t *testing.T) {
 	// On LTE the typical QUIC video should show an earlier FVC than the
 	// typical stock-TCP video (the Fig. 4 LTE majority).
 	site := webpage.ByName("wikipedia.org")
-	tcp := Record(site, simnet.LTE, httpsim.TCPStack{Opts: tcpsim.Stock()}, 5, 77)
-	quic := Record(site, simnet.LTE, httpsim.QUICStack{Opts: quicsim.Stock()}, 5, 77)
-	tTyp, err := SelectTypical(tcp)
+	tcp := video.Record(site, simnet.LTE, core.MustProtocol("TCP", simnet.LTE), 5, 77)
+	quic := video.Record(site, simnet.LTE, core.MustProtocol("QUIC", simnet.LTE), 5, 77)
+	tTyp, err := video.SelectTypical(tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qTyp, err := SelectTypical(quic)
+	qTyp, err := video.SelectTypical(quic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestRecordTCPvsQUICTypicalOrdering(t *testing.T) {
 }
 
 func TestFrameColorString(t *testing.T) {
-	for _, c := range []FrameColor{Red, Green, Blue, FrameColor(9)} {
+	for _, c := range []video.FrameColor{video.Red, video.Green, video.Blue, video.FrameColor(9)} {
 		_ = c.String()
 	}
 }

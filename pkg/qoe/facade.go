@@ -10,13 +10,13 @@ import (
 
 	"repro/internal/browser"
 	"repro/internal/core"
-	"repro/internal/httpsim"
 	"repro/internal/participant"
 	"repro/internal/population"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/study"
 	"repro/internal/sweep"
+	"repro/internal/transport"
 	"repro/internal/video"
 	"repro/internal/webpage"
 )
@@ -40,10 +40,10 @@ func resolveNetwork(name string) (simnet.NetworkConfig, error) {
 }
 
 // resolveProtocol resolves a Table 1 stack name against a network.
-func resolveProtocol(name string, net simnet.NetworkConfig) (httpsim.Protocol, error) {
+func resolveProtocol(name string, net simnet.NetworkConfig) (transport.Stack, error) {
 	proto, err := core.Protocol(name, net)
 	if err != nil {
-		return nil, fmt.Errorf("qoe: %w (have: %v)", err, ProtocolNames())
+		return transport.Stack{}, fmt.Errorf("qoe: %w (have: %v)", err, ProtocolNames())
 	}
 	return proto, nil
 }
@@ -98,7 +98,7 @@ func LoadPage(req PageLoad) (PageResult, error) {
 
 	res := browser.Load(site, browser.Config{Network: net, Proto: proto, Seed: req.Seed, MaxLoadTime: req.MaxLoadTime})
 	out := PageResult{
-		Site: site.Name, Network: net.Name, Protocol: proto.Name(),
+		Site: site.Name, Network: net.Name, Protocol: proto.Name,
 		FVC: res.Report.FVC, SI: res.Report.SI, VC85: res.Report.VC85,
 		LVC: res.Report.LVC, PLT: res.Report.PLT, Complete: res.Trace.Completed,
 		Objects: res.Objects, ObjectsTotal: len(site.Objects),
