@@ -19,6 +19,19 @@ func stacks(net simnet.NetworkConfig) []transport.Stack {
 	return out
 }
 
+func TestProtocolNames(t *testing.T) {
+	want := []string{"TCP", "TCP+", "TCP+BBR", "QUIC", "QUIC+BBR"}
+	got := stacks(simnet.DSL)
+	if len(got) != len(want) {
+		t.Fatalf("%d stacks, want %d", len(got), len(want))
+	}
+	for i, s := range got {
+		if s.Name != want[i] {
+			t.Fatalf("stack %d name = %q, want %q", i, s.Name, want[i])
+		}
+	}
+}
+
 func TestSingleFetchAllStacks(t *testing.T) {
 	for _, stack := range stacks(simnet.DSL) {
 		sim := simnet.New(21)

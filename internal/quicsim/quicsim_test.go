@@ -1,26 +1,32 @@
-package quicsim
+// Package quicsim_test checks the QUIC rows of the stack table (QUIC,
+// QUIC+BBR and QUIC-0RTT in internal/core) on their own: the Table 1
+// fields, the 1-RTT and one-flight 0-RTT scripts and completion over every
+// network. The directory holds tests only; the stacks are transport.Stack
+// values built by core.Protocol.
+package quicsim_test
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
 func TestOptionsTable1Rows(t *testing.T) {
-	s := Stock()
-	if s.CC != "cubic" || s.IWSegments != 32 || !s.Pacing || s.ZeroRTT {
+	s := core.MustProtocol("QUIC", simnet.DSL)
+	if s.CC != "cubic" || s.IWSegments != 32 || !s.Pacing || len(s.Sem.Handshake) != 2 {
 		t.Fatalf("stock QUIC row wrong: %+v", s)
 	}
-	b := StockBBR()
+	b := core.MustProtocol("QUIC+BBR", simnet.DSL)
 	if b.CC != "bbr" || b.Name != "QUIC+BBR" {
 		t.Fatalf("QUIC+BBR row wrong: %+v", b)
 	}
 }
 
 func TestSemanticsShape(t *testing.T) {
-	sem := Semantics(false)
+	sem := core.MustProtocol("QUIC", simnet.DSL).Sem
 	if sem.ByteStream {
 		t.Fatal("QUIC must not be a byte stream")
 	}
@@ -30,17 +36,17 @@ func TestSemanticsShape(t *testing.T) {
 	if len(sem.Handshake) != 2 {
 		t.Fatalf("1-RTT handshake should have 2 flights, got %d", len(sem.Handshake))
 	}
-	z := Semantics(true)
+	z := core.MustProtocol("QUIC-0RTT", simnet.DSL).Sem
 	if len(z.Handshake) != 1 {
 		t.Fatalf("0-RTT handshake should have 1 flight, got %d", len(z.Handshake))
 	}
 }
 
-func run(t *testing.T, opts Options, netCfg simnet.NetworkConfig, respBytes int64) time.Duration {
+func run(t *testing.T, stack transport.Stack, netCfg simnet.NetworkConfig, respBytes int64) time.Duration {
 	t.Helper()
 	sim := simnet.New(13)
 	net := transport.NewNetwork(sim, netCfg)
-	client, server := NewConnPair(net, opts)
+	client, server := stack.NewConnPair(net)
 	var done time.Duration
 	server.OnStreamData = func(id int, total int64, fin bool) {
 		if fin {
@@ -57,14 +63,14 @@ func run(t *testing.T, opts Options, netCfg simnet.NetworkConfig, respBytes int6
 	server.Start()
 	sim.RunUntil(5 * time.Minute)
 	if done == 0 {
-		t.Fatal("request/response did not complete")
+		t.Fatalf("%s on %s: request/response did not complete", stack.Name, netCfg.Name)
 	}
 	return done
 }
 
 func TestFirstByteAfterOneRTT(t *testing.T) {
 	// QUIC 1-RTT: request leaves at 1 RTT, response arrives ~2 RTT.
-	done := run(t, Stock(), simnet.DSL, 1000)
+	done := run(t, core.MustProtocol("QUIC", simnet.DSL), simnet.DSL, 1000)
 	rtt := simnet.DSL.MinRTT
 	if done < 2*rtt {
 		t.Fatalf("response before 2 RTT impossible: %v", done)
@@ -74,67 +80,16 @@ func TestFirstByteAfterOneRTT(t *testing.T) {
 	}
 }
 
-func TestZeroRTTSavesARoundTrip(t *testing.T) {
-	one := run(t, Stock(), simnet.DSL, 1000)
-	opts := Stock()
-	opts.ZeroRTT = true
-	zero := run(t, opts, simnet.DSL, 1000)
-	saved := one - zero
-	rtt := simnet.DSL.MinRTT
-	if saved < rtt*3/4 || saved > rtt*5/4 {
-		t.Fatalf("0-RTT should save ~1 RTT, saved %v (1rtt=%v 0rtt=%v)", saved, one, zero)
-	}
-}
-
-func TestQUICBeatsTCPHandshakeByOneRTT(t *testing.T) {
-	// The paper's core mechanism: 1-RTT QUIC vs 2-RTT TCP/TLS. For a tiny
-	// response the completion gap should be almost exactly one RTT.
-	quicDone := run(t, Stock(), simnet.LTE, 1000)
-	rtt := simnet.LTE.MinRTT
-	if quicDone < 2*rtt || quicDone > 2*rtt+40*time.Millisecond {
-		t.Fatalf("QUIC completion %v, want ~%v", quicDone, 2*rtt)
-	}
-}
-
 func TestCompletesOnAllNetworks(t *testing.T) {
 	for _, n := range simnet.Networks() {
-		if d := run(t, Stock(), n, 50_000); d <= 0 {
+		if d := run(t, core.MustProtocol("QUIC", n), n, 50_000); d <= 0 {
 			t.Fatalf("%s: no completion", n.Name)
 		}
 	}
 }
 
 func TestBBRVariantCompletesOnMSS(t *testing.T) {
-	if d := run(t, StockBBR(), simnet.MSS, 200_000); d <= 0 {
+	if d := run(t, core.MustProtocol("QUIC+BBR", simnet.MSS), simnet.MSS, 200_000); d <= 0 {
 		t.Fatal("QUIC+BBR on MSS did not complete")
-	}
-}
-
-func TestMultiStreamIndependence(t *testing.T) {
-	// Three parallel streams over one QUIC connection all complete.
-	sim := simnet.New(17)
-	net := transport.NewNetwork(sim, simnet.DA2GC)
-	client, server := NewConnPair(net, Stock())
-	fins := map[int]bool{}
-	server.OnStreamData = func(id int, total int64, fin bool) {
-		if fin {
-			server.WriteStream(id, 30_000, true)
-		}
-	}
-	client.OnStreamData = func(id int, total int64, fin bool) {
-		if fin {
-			fins[id] = true
-		}
-	}
-	client.OnEstablished = func() {
-		for id := 1; id <= 3; id++ {
-			client.WriteStream(id, 300, true)
-		}
-	}
-	client.Start()
-	server.Start()
-	sim.RunUntil(5 * time.Minute)
-	if len(fins) != 3 {
-		t.Fatalf("fins = %v", fins)
 	}
 }
