@@ -19,9 +19,6 @@
 //	                -timeout to bound the run)
 //	cmd/pageload  — load one site under one configuration
 //	cmd/netsweep  — locate the noticeability crossover along one dimension
-//	cmd/qoeload   — SLO-gated load harness: hundreds of concurrent clients
-//	                against an in-process qoed, mixed cold/cached/deduped
-//	                blend (see EXPERIMENTS.md "Load-proving the daemon")
 //	examples/     — runnable SDK tours (examples/quickstart is the
 //	                one-minute Session.Run(ctx, sink) introduction;
 //	                examples/remotestudy serves and consumes studies over

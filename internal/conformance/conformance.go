@@ -34,33 +34,7 @@ func (k StudyKind) String() string {
 	return "Rating"
 }
 
-// ABAnswer is one A/B vote of a session.
-type ABAnswer struct {
-	Condition  int // index into the study's condition list
-	Vote       study.Vote
-	Confidence int // 1..5
-	Replays    int
-	IsControl  bool
-	// ControlCorrect is meaningful only for control videos.
-	ControlCorrect bool
-}
-
-// RatingAnswer is one rating-study answer.
-type RatingAnswer struct {
-	Condition int
-	// Speed is the "satisfaction with loading speed" vote on 10..70.
-	Speed float64
-	// Quality is the "general quality of the loading process" vote.
-	Quality float64
-	// Environment the video was framed in.
-	Environment study.Environment
-	IsControl   bool
-	// ControlDelta: for the two R6 control videos (very fast vs very slow
-	// site) the ratings must differ by at least 10 points.
-	ControlDelta float64
-}
-
-// Session is one participant's behaviour log plus answers.
+// Session is one participant's behaviour log.
 type Session struct {
 	Group study.Group
 	Kind  StudyKind
@@ -75,9 +49,6 @@ type Session struct {
 	MaxQuestionTime time.Duration
 	ControlVideoOK  bool
 	ControlAnswerOK bool
-
-	ABAnswers     []ABAnswer
-	RatingAnswers []RatingAnswer
 }
 
 // RuleCount is the number of filter rules.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -163,6 +164,40 @@ func TestCanonicalization(t *testing.T) {
 	if all, err := Canonicalize(nil, nil, "", 1); err != nil || len(all.Experiments) != len(qoe.ExperimentNames()) {
 		t.Fatalf("empty selection = %v, %v; want the full registry", all.Experiments, err)
 	}
+}
+
+// FuzzCanonicalize: a comma-separated selection, a scale and a seed never
+// panic. An accepted tuple is sorted and unique, canonicalizing it again
+// keeps its Key, and so does the reversed selection.
+func FuzzCanonicalize(f *testing.F) {
+	scales := []string{"", "quick", "standard", "paper"}
+	for i, name := range qoe.ExperimentNames() {
+		f.Add(name, scales[i%len(scales)], int64(i))
+	}
+	f.Add("all", "", int64(1))
+	f.Add("table2,table1,table2", "quick", int64(-7))
+	f.Add("fig7", "quick", int64(1))
+	f.Fuzz(func(t *testing.T, selection, scale string, seed int64) {
+		sel := strings.Split(selection, ",")
+		spec, err := Canonicalize(sel, nil, scale, seed)
+		if err != nil {
+			return
+		}
+		for i := 1; i < len(spec.Experiments); i++ {
+			if spec.Experiments[i-1] >= spec.Experiments[i] {
+				t.Fatalf("%q: experiments %v not sorted and unique", selection, spec.Experiments)
+			}
+		}
+		again, err := Canonicalize(spec.Experiments, nil, string(spec.Scale), spec.Seed)
+		if err != nil || again.Key() != spec.Key() {
+			t.Fatalf("%q: re-canonicalized to %q, %v; want %q", selection, again.Key(), err, spec.Key())
+		}
+		slices.Reverse(sel)
+		rev, err := Canonicalize(sel, nil, scale, seed)
+		if err != nil || rev.Key() != spec.Key() {
+			t.Fatalf("%q reversed: %q, %v; want %q", selection, rev.Key(), err, spec.Key())
+		}
+	})
 }
 
 // TestOneShotMatchesGolden: the serving path end to end — a cold one-shot

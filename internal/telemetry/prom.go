@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -25,11 +26,15 @@ func appendPromHeader(buf []byte, name, help string, kind Kind) []byte {
 
 // AppendProm renders the latency set as one Prometheus summary per class:
 // ns{class="mem",quantile="0.5"} …, plus ns_sum{class=…} and
-// ns_count{class=…}.
+// ns_count{class=…}. An empty class has no quantiles, so they render as NaN
+// (a 0 would read as instant); its _sum and _count stay 0.
 func (s *LatencySet) AppendProm(buf []byte, ns string) []byte {
 	buf = appendPromHeader(buf, ns, "Latency in seconds by class, quantiles interpolated from a log-domain histogram.", "summary")
 	for i, class := range s.classes {
 		st := s.hists[i].Snapshot()
+		if st.Count == 0 {
+			st.P50, st.P90, st.P99 = math.NaN(), math.NaN(), math.NaN()
+		}
 		for _, q := range [...]struct {
 			label string
 			val   float64

@@ -373,13 +373,18 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 }
 
 func TestPromExposition(t *testing.T) {
-	set := NewLatencySet("mem")
+	set := NewLatencySet("mem", "disk")
 	set.Observe("mem", time.Millisecond)
 	out := string(set.AppendProm(nil, "qoed_request_latency_seconds"))
 	for _, want := range []string{
 		"# TYPE qoed_request_latency_seconds summary",
 		`qoed_request_latency_seconds{class="mem",quantile="0.5"} `,
 		`qoed_request_latency_seconds_count{class="mem"} 1`,
+		// An empty class has no quantiles, not instant ones.
+		`qoed_request_latency_seconds{class="disk",quantile="0.5"} NaN` + "\n",
+		`qoed_request_latency_seconds{class="disk",quantile="0.99"} NaN` + "\n",
+		`qoed_request_latency_seconds_sum{class="disk"} 0` + "\n",
+		`qoed_request_latency_seconds_count{class="disk"} 0` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
