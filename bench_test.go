@@ -397,18 +397,33 @@ func BenchmarkSpeedIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkABVote measures the psychometric vote model.
+// BenchmarkABVote measures one psychometric vote on a prebuilt stimulus:
+// the per-vote draws that population runs repeat millions of times.
 func BenchmarkABVote(b *testing.B) {
 	b.ReportAllocs()
 	sim := simnet.New(1)
 	rng := sim.SubRand(1)
 	m := participant.New(study.Microworker, rng)
-	l := metrics.Report{SI: 2e9, FVC: 1e9, Complete: true}
-	r := metrics.Report{SI: 25e8, FVC: 12e8, Complete: true}
+	stim := participant.NewABStimulus(study.Microworker, benchVoteLeft, benchVoteRight)
 	for i := 0; i < b.N; i++ {
-		m.ABVote(l, r)
+		m.ABVote(&stim)
 	}
 }
+
+// BenchmarkNewABStimulus measures the per-stimulus part of a vote, computed
+// once per cell and voter group.
+func BenchmarkNewABStimulus(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		stimulusSink = participant.NewABStimulus(study.Microworker, benchVoteLeft, benchVoteRight)
+	}
+}
+
+var (
+	benchVoteLeft  = metrics.Report{SI: 2e9, FVC: 1e9, Complete: true}
+	benchVoteRight = metrics.Report{SI: 25e8, FVC: 12e8, Complete: true}
+	stimulusSink   participant.ABStimulus
+)
 
 // BenchmarkConformanceFilter measures the funnel over the µWorker rating
 // population.

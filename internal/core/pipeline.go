@@ -87,6 +87,10 @@ func RunABStudy(group study.Group, conditions []ABCondition, seed int64) ABOutco
 		VoteCount:  make([]int, len(conditions)),
 		Funnel:     funnel,
 	}
+	stimuli := make([]participant.ABStimulus, len(conditions))
+	for i, cond := range conditions {
+		stimuli[i] = participant.NewABStimulus(group, cond.Video.Left.Report, cond.Video.Right.Report)
+	}
 	rng := rand.New(rand.NewSource(seed ^ 0xAB))
 	plan := study.PlanFor(group)
 	scratch := make([]int, len(conditions))
@@ -94,8 +98,8 @@ func RunABStudy(group study.Group, conditions []ABCondition, seed int64) ABOutco
 	for range kept {
 		model.Reinit(group, rng)
 		for _, ci := range pickConditionsInto(rng, scratch, len(conditions), plan.ABVideos) {
-			cond := conditions[ci]
-			vote, _, replays := model.ABVote(cond.Video.Left.Report, cond.Video.Right.Report)
+			cond := &conditions[ci]
+			vote, _, replays := model.ABVote(&stimuli[ci])
 			out.VoteCount[ci]++
 			out.ReplaySum[ci] += replays
 			switch vote {
@@ -227,8 +231,10 @@ func RunRatingStudy(group study.Group, conditions []RatingCondition, seed int64)
 	}
 	// Environment-local condition indices.
 	byEnv := map[study.Environment][]int{}
+	stimuli := make([]participant.RatingStimulus, len(conditions))
 	for i, c := range conditions {
 		byEnv[c.Environment] = append(byEnv[c.Environment], i)
+		stimuli[i] = participant.NewRatingStimulus(c.Rec.Report, c.Environment)
 	}
 	plan := study.PlanFor(group)
 	perEnv := map[study.Environment]int{
@@ -255,7 +261,7 @@ func RunRatingStudy(group study.Group, conditions []RatingCondition, seed int64)
 			}
 			for _, pick := range pickConditionsInto(rng, scratch, len(idxs), count) {
 				ci := idxs[pick]
-				speed, quality := model.Rate(conditions[ci].Rec.Report, env)
+				speed, quality := model.Rate(&stimuli[ci])
 				out.Speed[ci] = append(out.Speed[ci], speed)
 				out.Quality[ci] = append(out.Quality[ci], quality)
 			}

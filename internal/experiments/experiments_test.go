@@ -119,10 +119,10 @@ func TestFig4Shapes(t *testing.T) {
 		t.Fatalf("no-diff share should shrink DSL (%.2f) -> MSS (%.2f)", dsl.ShareNone, mss.ShareNone)
 	}
 	// On LTE and slower, the majority that notices prefers QUIC.
-	if lte.ShareA <= lte.ShareB {
+	if !(lte.ShareA > lte.ShareB) {
 		t.Fatalf("LTE: QUIC share %.2f should beat TCP %.2f", lte.ShareA, lte.ShareB)
 	}
-	if mss.ShareA <= mss.ShareB {
+	if !(mss.ShareA > mss.ShareB) {
 		t.Fatalf("MSS: QUIC share %.2f should beat TCP %.2f", mss.ShareA, mss.ShareB)
 	}
 	// Replays are highest where differences are hardest to spot (DSL).
@@ -135,7 +135,7 @@ func TestFig4Shapes(t *testing.T) {
 			mssReplay += s.AvgReplays
 		}
 	}
-	if dslReplay <= mssReplay {
+	if !(dslReplay > mssReplay) {
 		t.Fatalf("replays on DSL (%.2f) should exceed MSS (%.2f)", dslReplay, mssReplay)
 	}
 	var buf bytes.Buffer
@@ -211,11 +211,11 @@ func TestFig3Shapes(t *testing.T) {
 		}
 	}
 	// µWorkers agree with the lab for most conditions.
-	if res.AgreementShare() < 0.6 {
+	if !(res.AgreementShare() >= 0.6) {
 		t.Fatalf("agreement share %.2f too low", res.AgreementShare())
 	}
 	// Internet votes non-normal, lab/µWorker normal (paper's Fig. 3 note).
-	if res.InternetNormalP > 0.01 {
+	if !(res.InternetNormalP <= 0.01) {
 		t.Fatalf("internet votes should fail normality, p=%v", res.InternetNormalP)
 	}
 	var buf bytes.Buffer
@@ -232,7 +232,7 @@ func TestFig6Shapes(t *testing.T) {
 	}
 	means := res.MeanRByMetric()
 	// SI correlates negatively overall.
-	if means["SI"] >= -0.3 {
+	if !(means["SI"] < -0.3) {
 		t.Fatalf("SI mean r = %.2f, want clearly negative", means["SI"])
 	}
 	// SI correlates better (more negative) than PLT — the paper's headline.

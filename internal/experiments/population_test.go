@@ -116,7 +116,7 @@ func TestPopSweepCrossover(t *testing.T) {
 		t.Fatalf("rows %d, want %d", len(res.Rows), len(popSweepFactors))
 	}
 	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	if first.Noticed.Point <= last.Noticed.Point {
+	if !(first.Noticed.Point > last.Noticed.Point) {
 		t.Fatalf("notice share should fall with speed: x%g %.2f vs x%g %.2f",
 			first.Factor, first.Noticed.Point, last.Factor, last.Noticed.Point)
 	}

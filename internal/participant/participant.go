@@ -6,6 +6,12 @@
 // rates are calibrated from the published Table 3 funnel, so that running
 // the conformance filter over a simulated population reproduces the paper's
 // participation numbers in expectation.
+//
+// A vote is a per-stimulus part plus per-vote draws. NewABStimulus and
+// NewRatingStimulus compute, once per stimulus cell and voter group, every
+// value that depends only on the recordings (notice probability, faster
+// side, replay threshold, rating anchor); Model.ABVote and Model.Rate then
+// only draw from the participant's random stream.
 package participant
 
 import (
@@ -19,22 +25,23 @@ import (
 	"repro/internal/study"
 )
 
-// Model is one participant's perceptual parameters.
+// Model is one participant: a random stream, a group and a stable rating
+// offset. What a vote takes from the recordings lives in the stimulus
+// (ABStimulus, RatingStimulus), built once per stimulus cell and voter
+// group.
 type Model struct {
 	rng *rand.Rand
-	// Group determines noise levels and response style.
+	// Group determines the rating noise and response style.
 	Group study.Group
-	// jnd is the Weber fraction on Speed Index ratios below which a
-	// difference is imperceptible.
-	jnd float64
-	// sigma is the perceptual noise of the log-ratio discrimination.
-	sigma float64
 	// bias is this participant's stable rating offset.
 	bias float64
 }
 
 // Perceptual parameters per group: the lab is attentive and low-noise; paid
 // crowdworkers are a bit noisier; anonymous Internet volunteers noisiest.
+// jnd is the Weber fraction on Speed Index ratios below which a difference
+// is imperceptible, sigma the perceptual noise of the log-ratio
+// discrimination, ratingSigma the per-answer rating noise.
 func groupParams(g study.Group) (jnd, sigma, ratingSigma float64) {
 	switch g {
 	case study.Lab:
@@ -64,21 +71,28 @@ func New(g study.Group, rng *rand.Rand) *Model {
 // one, so population-scale loops can reuse a single Model per worker
 // instead of allocating one per synthetic participant.
 func (m *Model) Reinit(g study.Group, rng *rand.Rand) {
-	jnd, sigma, _ := groupParams(g)
 	*m = Model{
 		rng:   rng,
 		Group: g,
-		jnd:   jnd,
-		sigma: sigma,
 		bias:  rng.NormFloat64() * 4,
 	}
 }
 
-// ABVote compares two recordings shown side by side and returns the vote,
-// a 1..5 confidence, and how often the participant replayed the video. The
-// perceptual evidence is the log-ratio of the two Speed Indices — the
-// metric the paper later finds to correlate best with its users (Fig. 6).
-func (m *Model) ABVote(left, right metrics.Report) (vote study.Vote, confidence, replays int) {
+// ABStimulus is the deterministic part of an A/B vote: what depends only on
+// the two recordings shown side by side and the voter group. Build it once
+// per stimulus with NewABStimulus; every vote on it then only draws.
+type ABStimulus struct {
+	pNotice    float64    // probability the difference is perceived
+	faster     study.Vote // the perceptually faster side
+	confidence int        // the 1..5 confidence of a noticed vote
+	replayExp  float64    // exp(-mean replays): the Poisson draw's threshold
+}
+
+// NewABStimulus computes the perceptual evidence of left vs. right for a
+// voter of group g. The evidence is the log-ratio of the two Speed Indices
+// — the metric the paper later finds to correlate best with its users
+// (Fig. 6) — or of the FVCs when that cue is stronger.
+func NewABStimulus(g study.Group, left, right metrics.Report) ABStimulus {
 	// Two perceptual cues: the overall loading pace (Speed Index) and the
 	// moment something first appears (FVC, slightly less salient). Each
 	// cue's log-ratio is attenuated by its absolute difference — a 5%
@@ -97,23 +111,35 @@ func (m *Model) ABVote(left, right metrics.Report) (vote study.Vote, confidence,
 		logRatio = evFVC
 	}
 
-	pNotice := stats.NormalCDF((math.Abs(logRatio) - m.jnd) / m.sigma)
-
+	jnd, sigma, _ := groupParams(g)
+	s := ABStimulus{
+		pNotice: stats.NormalCDF((math.Abs(logRatio) - jnd) / sigma),
+		faster:  study.VoteRight,
+	}
+	if logRatio < 0 {
+		s.faster = study.VoteLeft
+	}
+	s.confidence = 3 + int(math.Round(2*s.pNotice)) // pNotice <= 1: at most 5
 	// Unsure participants replay the video; the paper observes more
 	// replays on the faster networks, where differences are subtle.
-	replayMean := 0.25 + 1.3*(1-pNotice)
-	if m.Group == study.Lab {
+	replayMean := 0.25 + 1.3*(1-s.pNotice)
+	if g == study.Lab {
 		replayMean *= 1.3 // lab participants replay most (§4.2)
 	}
-	replays = m.poisson(replayMean)
+	s.replayExp = math.Exp(-replayMean)
+	return s
+}
 
-	if m.rng.Float64() < pNotice {
+// ABVote casts one vote on a stimulus built for the participant's group and
+// returns the vote, a 1..5 confidence, and how often the participant
+// replayed the video.
+func (m *Model) ABVote(s *ABStimulus) (vote study.Vote, confidence, replays int) {
+	replays = m.poisson(s.replayExp)
+
+	if m.rng.Float64() < s.pNotice {
 		// Noticed: vote the perceptually faster side, with a small chance
 		// of mixing the sides up.
-		faster := study.VoteRight
-		if logRatio < 0 {
-			faster = study.VoteLeft
-		}
+		faster := s.faster
 		if m.rng.Float64() < 0.06 {
 			if faster == study.VoteRight {
 				faster = study.VoteLeft
@@ -121,11 +147,7 @@ func (m *Model) ABVote(left, right metrics.Report) (vote study.Vote, confidence,
 				faster = study.VoteRight
 			}
 		}
-		confidence = 3 + int(math.Round(2*pNotice))
-		if confidence > 5 {
-			confidence = 5
-		}
-		return faster, confidence, replays
+		return faster, s.confidence, replays
 	}
 	// Not noticed: most admit "no difference", some guess a side with low
 	// confidence (the paper accepts such guesses on identical controls
@@ -158,13 +180,23 @@ func envAnchor(env study.Environment) (refSI float64, slope float64) {
 	}
 }
 
-// Rate produces the two rating-study answers (speed satisfaction and
-// general loading quality) for one video on the 10..70 scale.
-func (m *Model) Rate(rep metrics.Report, env study.Environment) (speed, quality float64) {
+// RatingStimulus is the deterministic part of a rating: the speed
+// satisfaction one video earns under an environment framing before the
+// rater's bias and noise. Build it once per stimulus with NewRatingStimulus.
+type RatingStimulus struct {
+	base float64
+}
+
+// NewRatingStimulus computes the rating anchor of rep under env.
+func NewRatingStimulus(rep metrics.Report, env study.Environment) RatingStimulus {
 	ref, slope := envAnchor(env)
 	si := math.Max(rep.SI.Seconds(), 1e-3)
-	base := 70 - slope*math.Log(si/ref)
+	return RatingStimulus{base: 70 - slope*math.Log(si/ref)}
+}
 
+// Rate produces the two rating-study answers (speed satisfaction and
+// general loading quality) for one video on the 10..70 scale.
+func (m *Model) Rate(s *RatingStimulus) (speed, quality float64) {
 	_, _, ratingSigma := groupParams(m.Group)
 	noise := m.rng.NormFloat64() * ratingSigma
 	if m.Group == study.Internet {
@@ -177,7 +209,7 @@ func (m *Model) Rate(rep metrics.Report, env study.Environment) (speed, quality 
 			return clampRating(speed), quality
 		}
 	}
-	speed = clampRating(base + m.bias + noise)
+	speed = clampRating(s.base + m.bias + noise)
 	quality = clampRating(0.85*speed + 0.15*52 + m.rng.NormFloat64()*4)
 	return speed, quality
 }
@@ -192,14 +224,14 @@ func clampRating(v float64) float64 {
 	return v
 }
 
-// poisson draws a Poisson variate (Knuth's method; means here are < 3).
-func (m *Model) poisson(mean float64) int {
-	l := math.Exp(-mean)
+// poisson draws a Poisson variate by Knuth's method, given exp(-mean) as
+// threshold (means here are < 3).
+func (m *Model) poisson(threshold float64) int {
 	k := 0
 	p := 1.0
 	for {
 		p *= m.rng.Float64()
-		if p <= l {
+		if p <= threshold {
 			return k
 		}
 		k++

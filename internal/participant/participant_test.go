@@ -20,9 +20,10 @@ func report(siMS int) metrics.Report {
 func votesFor(t *testing.T, g study.Group, left, right metrics.Report, n int) (a, b, nodiff int, replays float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
+	stim := NewABStimulus(g, left, right)
 	for i := 0; i < n; i++ {
 		m := New(g, rng)
-		v, conf, rep := m.ABVote(left, right)
+		v, conf, rep := m.ABVote(&stim)
 		if conf < 1 || conf > 5 {
 			t.Fatalf("confidence %d out of range", conf)
 		}
@@ -81,11 +82,13 @@ func TestABVoteReplaysHigherWhenSubtle(t *testing.T) {
 
 func TestRateFasterIsBetter(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	fastStim := NewRatingStimulus(report(800), study.AtWork)
+	slowStim := NewRatingStimulus(report(8000), study.AtWork)
 	var fast, slow []float64
 	for i := 0; i < 300; i++ {
 		m := New(study.Microworker, rng)
-		f, _ := m.Rate(report(800), study.AtWork)
-		s, _ := m.Rate(report(8000), study.AtWork)
+		f, _ := m.Rate(&fastStim)
+		s, _ := m.Rate(&slowStim)
 		fast = append(fast, f)
 		slow = append(slow, s)
 	}
@@ -98,7 +101,8 @@ func TestRateBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 500; i++ {
 		m := New(study.Internet, rng)
-		s, q := m.Rate(report(100+rng.Intn(60000)), study.Environments()[i%3])
+		stim := NewRatingStimulus(report(100+rng.Intn(60000)), study.Environments()[i%3])
+		s, q := m.Rate(&stim)
 		if s < study.RatingMin || s > study.RatingMax || q < study.RatingMin || q > study.RatingMax {
 			t.Fatalf("rating out of bounds: %v %v", s, q)
 		}
@@ -109,12 +113,14 @@ func TestRatePlaneContextForgiving(t *testing.T) {
 	// The same slow load is rated higher when framed "on a plane" than "at
 	// work": lowered expectations.
 	rng := rand.New(rand.NewSource(7))
+	// A 5-second load: clearly slow at work, unremarkable at altitude.
+	workStim := NewRatingStimulus(report(5000), study.AtWork)
+	planeStim := NewRatingStimulus(report(5000), study.OnPlane)
 	var work, plane []float64
 	for i := 0; i < 300; i++ {
 		m := New(study.Microworker, rng)
-		// A 5-second load: clearly slow at work, unremarkable at altitude.
-		w, _ := m.Rate(report(5000), study.AtWork)
-		p, _ := m.Rate(report(5000), study.OnPlane)
+		w, _ := m.Rate(&workStim)
+		p, _ := m.Rate(&planeStim)
 		work = append(work, w)
 		plane = append(plane, p)
 	}
@@ -129,12 +135,13 @@ func TestRatingDistributionsNormality(t *testing.T) {
 	// the outlier mixture) should fail — the paper's Fig. 3 observation.
 	sample := func(g study.Group) []float64 {
 		rng := rand.New(rand.NewSource(11))
+		// A mid-scale stimulus: far from the 10/70 clamps, so the noise
+		// distribution itself is what the test sees.
+		stim := NewRatingStimulus(report(25000), study.FreeTime)
 		out := make([]float64, 1200)
 		for i := range out {
 			m := New(g, rng)
-			// A mid-scale stimulus: far from the 10/70 clamps, so the noise
-			// distribution itself is what the test sees.
-			out[i], _ = m.Rate(report(25000), study.FreeTime)
+			out[i], _ = m.Rate(&stim)
 		}
 		return out
 	}

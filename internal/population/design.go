@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/metrics"
+	"repro/internal/participant"
 	"repro/internal/stats"
 	"repro/internal/study"
 )
@@ -122,7 +123,10 @@ func (c *ABCellStats) load(st *ABCellState, shard, cell int, kept int64) (int64,
 // abDesign is the A/B study: each participant votes on votesPer distinct
 // cells drawn from all of them.
 type abDesign struct {
-	cells    []ABCell
+	cells []ABCell
+	// stimuli holds each cell's perceptual evidence for cfg.Group, computed
+	// once per design and shared read-only by every worker.
+	stimuli  []participant.ABStimulus
 	votesPer int
 }
 
@@ -131,7 +135,11 @@ func newABDesign(cells []ABCell, cfg Config) *abDesign {
 	if votesPer <= 0 {
 		votesPer = study.PlanFor(cfg.Group).ABVideos
 	}
-	return &abDesign{cells: cells, votesPer: votesPer}
+	stimuli := make([]participant.ABStimulus, len(cells))
+	for i := range cells {
+		stimuli[i] = participant.NewABStimulus(cfg.Group, cells[i].Left, cells[i].Right)
+	}
+	return &abDesign{cells: cells, stimuli: stimuli, votesPer: votesPer}
 }
 
 func (d *abDesign) kind() conformance.StudyKind { return conformance.AB }
@@ -150,7 +158,7 @@ func (d *abDesign) vote(ws *popWorker, cells []ABCellStats) int64 {
 	picks := drawDistinct(ws.rng, ws.perm, len(d.cells), d.votesPer)
 	for _, ci := range picks {
 		cell := &d.cells[ci]
-		vote, confidence, replays := ws.model.ABVote(cell.Left, cell.Right)
+		vote, confidence, replays := ws.model.ABVote(&d.stimuli[ci])
 		st := &cells[ci]
 		st.Confidence.Add(float64(confidence))
 		st.Replays.Add(float64(replays))
@@ -279,8 +287,10 @@ func (c *RatingCellStats) load(st *RatingCellState, shard, cell int, kept int64)
 // in fixed order, votes distinct cells drawn from that environment's cells.
 type ratingDesign struct {
 	cells []RatingCell
-	envs  [study.OnPlane + 1]struct { // in study.Environments() order
-		env   study.Environment
+	// stimuli holds each cell's rating anchor, computed once per design and
+	// shared read-only by every worker.
+	stimuli []participant.RatingStimulus
+	envs    [study.OnPlane + 1]struct { // in study.Environments() order
 		cells []int // indices into cells, ascending
 		votes int
 	}
@@ -290,7 +300,10 @@ type ratingDesign struct {
 // session plan's number of videos per environment, or VotesPerParticipant
 // spread over the environments that have cells.
 func newRatingDesign(cells []RatingCell, cfg Config) *ratingDesign {
-	d := &ratingDesign{cells: cells}
+	d := &ratingDesign{cells: cells, stimuli: make([]participant.RatingStimulus, len(cells))}
+	for i := range cells {
+		d.stimuli[i] = participant.NewRatingStimulus(cells[i].Rep, cells[i].Env)
+	}
 	plan := study.PlanFor(cfg.Group)
 	votes := [...]int{study.AtWork: plan.RatingWork, study.FreeTime: plan.RatingFree, study.OnPlane: plan.RatingPlane}
 	byEnv := make([]int, 0, len(cells))
@@ -303,7 +316,7 @@ func newRatingDesign(cells []RatingCell, cfg Config) *ratingDesign {
 			}
 		}
 		g := &d.envs[i]
-		g.env, g.cells, g.votes = env, byEnv[start:], votes[env]
+		g.cells, g.votes = byEnv[start:], votes[env]
 		if len(g.cells) > 0 {
 			populated++
 		}
@@ -355,7 +368,7 @@ func (d *ratingDesign) vote(ws *popWorker, cells []RatingCellStats) (votes int64
 		}
 		for _, pick := range drawDistinct(ws.rng, ws.perm, len(g.cells), g.votes) {
 			ci := g.cells[pick]
-			speed, quality := ws.model.Rate(d.cells[ci].Rep, g.env)
+			speed, quality := ws.model.Rate(&d.stimuli[ci])
 			st := &cells[ci]
 			st.Speed.Add(speed)
 			st.Quality.Add(quality)

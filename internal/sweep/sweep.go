@@ -161,6 +161,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	res := Result{Cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x53574545)) // "SWEE"
+	var panellist participant.Model
 	for _, v := range cfg.Values {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -171,10 +172,11 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		if siA == 0 || siB == 0 {
 			return Result{}, fmt.Errorf("sweep: no complete loads at %s=%g", cfg.Dim, v)
 		}
+		stim := participant.NewABStimulus(study.Microworker, repA, repB)
 		noticed := 0
 		for i := 0; i < cfg.PanelSize; i++ {
-			m := participant.New(study.Microworker, rng)
-			vote, _, _ := m.ABVote(repA, repB)
+			panellist.Reinit(study.Microworker, rng)
+			vote, _, _ := panellist.ABVote(&stim)
 			if vote != study.VoteNoDifference {
 				noticed++
 			}

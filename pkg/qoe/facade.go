@@ -340,10 +340,12 @@ func RatePanel(ctx context.Context, req RatingPanel) (RatingOutcome, error) {
 		// run in the same panel (the same independence the batch runner
 		// gives experiments).
 		rng := rand.New(rand.NewSource(core.DeriveSeed(req.Seed, "qoe-rating-panel/"+name)))
+		stim := participant.NewRatingStimulus(res.Report, env)
 		votes := make([]float64, 0, voters)
+		var m participant.Model
 		for i := 0; i < voters; i++ {
-			m := participant.New(study.Microworker, rng)
-			speed, _ := m.Rate(res.Report, env)
+			m.Reinit(study.Microworker, rng)
+			speed, _ := m.Rate(&stim)
 			votes = append(votes, speed)
 		}
 		ci, err := stats.MeanCI(votes, 0.99)

@@ -6,6 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -103,6 +106,55 @@ func TestDecodeStreamRoundTrip(t *testing.T) {
 	if summary.Experiments != 2 || summary.Rows == 0 {
 		t.Fatalf("decoded summary %+v inconsistent", summary)
 	}
+}
+
+// FuzzDecodeStream feeds the event-stream decoder arbitrary bytes. It must
+// never panic. An accepted stream, re-encoded through StreamSink, must decode
+// again and re-encode to the same bytes (a fixpoint), and cutting that
+// re-encoding before its summary line is complete (at each line's start and
+// middle) must fail with ErrTruncatedStream.
+func FuzzDecodeStream(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "table1.stream.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	mid := bytes.IndexByte(golden, '\n') + 10
+	if _, err := DecodeStream(bytes.NewReader(golden[:mid]), StreamSink(io.Discard)); !errors.Is(err, ErrTruncatedStream) {
+		f.Fatalf("golden stream cut mid-line: got %v, want ErrTruncatedStream", err)
+	}
+	f.Add(golden)
+	f.Add(golden[:mid])
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var first bytes.Buffer
+		if _, err := DecodeStream(bytes.NewReader(stream), StreamSink(&first)); err != nil {
+			return
+		}
+		enc := first.Bytes()
+		var second bytes.Buffer
+		if _, err := DecodeStream(bytes.NewReader(enc), StreamSink(&second)); err != nil {
+			t.Fatalf("re-encoded stream rejected: %v\n%s", err, enc)
+		}
+		if !bytes.Equal(second.Bytes(), enc) {
+			t.Fatalf("re-encoding is not a fixpoint:\n%s\nvs\n%s", enc, second.Bytes())
+		}
+		// The last line is the summary, so every cut below leaves it
+		// incomplete; len(enc)-2 drops only its closing brace.
+		cuts := []int{len(enc) - 2}
+		off := 0
+		for _, line := range bytes.SplitAfter(enc, []byte("\n")) {
+			cuts = append(cuts, off, off+len(line)/2)
+			off += len(line)
+		}
+		for _, c := range cuts {
+			if c < 0 || c >= len(enc)-1 {
+				continue
+			}
+			if _, err := DecodeStream(bytes.NewReader(enc[:c]), StreamSink(io.Discard)); !errors.Is(err, ErrTruncatedStream) {
+				t.Fatalf("stream cut at %d of %d: got %v, want ErrTruncatedStream", c, len(enc), err)
+			}
+		}
+	})
 }
 
 // decisionCollectSink extends collectSink with DecisionSink, recording the
