@@ -24,10 +24,12 @@ type ABCondition struct {
 }
 
 // ABConditions builds the full Figure 4 condition grid: the four protocol
-// pairs over all networks and testbed sites.
+// pairs over all networks and testbed sites. It is the one home of the side
+// assignment rule; the population A/B study builds its cells from it too.
 func (tb *Testbed) ABConditions(networks []simnet.NetworkConfig) ([]ABCondition, error) {
-	var out []ABCondition
-	for _, pair := range study.Pairs() {
+	pairs := study.Pairs()
+	out := make([]ABCondition, 0, len(pairs)*len(networks)*len(tb.Scale.Sites))
+	for _, pair := range pairs {
 		for _, net := range networks {
 			for _, site := range tb.Scale.Sites {
 				a, err := tb.Typical(site, net, pair.A)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/simnet"
@@ -127,15 +126,9 @@ func (tb *Testbed) Typical(site *webpage.Site, net simnet.NetworkConfig, protoco
 	return rec, nil
 }
 
-// DefaultParallelism is the single definition of the "zero means all cores"
-// worker default: testbed prewarm, the batch runner, and the population
-// engine all resolve an unset worker count through it, and pkg/qoe's
-// WithParallelism option documents it as the session default.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// Prewarm records every (site × network × protocol) condition in parallel,
-// bounded by DefaultParallelism workers. Experiments that follow hit only
-// the cache.
+// Prewarm records every (site × network × protocol) condition in parallel
+// through ForEach at the default worker count. Experiments that follow hit
+// only the cache.
 //
 // Cancelling ctx stops the prewarm between conditions and returns ctx.Err():
 // recordings already in flight run to completion (a recording is pure CPU
@@ -156,38 +149,10 @@ func (tb *Testbed) Prewarm(ctx context.Context, networks []simnet.NetworkConfig,
 			}
 		}
 	}
-	workers := DefaultParallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				if ctx.Err() != nil {
-					continue // drain without recording
-				}
-				tb.Recordings(j.site, j.net, j.prot)
-			}
-		}()
-	}
-feed:
-	for _, j := range jobs {
-		select {
-		case ch <- j:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(ch)
-	wg.Wait()
-	return ctx.Err()
+	return ForEach(ctx, len(jobs), 0, func(_ context.Context, i, _ int) error {
+		tb.Recordings(jobs[i].site, jobs[i].net, jobs[i].prot)
+		return nil
+	})
 }
 
 // DeriveSeed mixes a name into a master seed: FNV-1a over the name XOR the

@@ -27,12 +27,12 @@ import (
 // drains most of its budget — or all of it, in which case it reports its
 // fixed-budget point estimate exactly as pop-sweep would.
 //
-// Everything about the stimuli is shared with pop-sweep's construction:
-// same factors, same MeanReport recordings, same per-step derived seeds,
-// same per-step population config. That makes an adaptive step's aggregates
-// a bit-exact truncated prefix of the corresponding full run (the
-// truncation invariant in internal/population), which is also what lets
-// the distributed fabric compute grants on any worker.
+// Both experiments build their steps with popSweepSpecs: same factors,
+// same MeanReport recordings, same per-step derived seeds, same per-step
+// population config. That makes an adaptive step's aggregates a bit-exact
+// truncated prefix of the corresponding full run (the truncation invariant
+// in internal/population), which is also what lets the distributed fabric
+// compute grants on any worker.
 
 const popSweepAdaptiveName = "pop-sweep-adaptive"
 
@@ -63,10 +63,15 @@ func popSweepAdaptiveCellConfigs(seed int64) []population.Config {
 // PopSweepAdaptiveSpecs builds the canonical adaptive grid for a testbed
 // and the experiment's derived seed — the shared construction the
 // in-process experiment and fabric workers both run, so a worker's shard
-// bytes are exactly the ones the coordinator folds.
-func PopSweepAdaptiveSpecs(tb *core.Testbed, seed int64) ([]adaptive.CellSpec, error) {
-	const protoA, protoB = "QUIC", "TCP"
-	base := simnet.LTE
+// bytes are exactly the ones the coordinator folds. Cancelling ctx stops
+// it between steps and returns ctx.Err().
+func PopSweepAdaptiveSpecs(ctx context.Context, tb *core.Testbed, seed int64) ([]adaptive.CellSpec, error) {
+	return popSweepSpecs(ctx, tb, seed, popSweepAdaptiveName)
+}
+
+// popSweepSpecs builds the sweep grid both pop-sweep experiments run: one
+// single-cell spec per factor, with name prefixing its errors.
+func popSweepSpecs(ctx context.Context, tb *core.Testbed, seed int64, name string) ([]adaptive.CellSpec, error) {
 	reps := tb.Scale.Reps
 	if reps > 2 {
 		reps = 2 // the panel, not the recording count, carries the power here
@@ -74,11 +79,14 @@ func PopSweepAdaptiveSpecs(tb *core.Testbed, seed int64) ([]adaptive.CellSpec, e
 	cfgs := popSweepAdaptiveCellConfigs(seed)
 	specs := make([]adaptive.CellSpec, 0, len(popSweepFactors))
 	for i, v := range popSweepFactors {
-		net := sweep.Apply(base, sweep.Speed, v)
-		siA, repA := sweep.MeanReport(tb.Scale.Sites, net, protoA, reps, seed)
-		siB, repB := sweep.MeanReport(tb.Scale.Sites, net, protoB, reps, seed)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		net := sweep.Apply(simnet.LTE, sweep.Speed, v)
+		siA, repA := sweep.MeanReport(tb.Scale.Sites, net, popSweepA, reps, seed)
+		siB, repB := sweep.MeanReport(tb.Scale.Sites, net, popSweepB, reps, seed)
 		if siA == 0 || siB == 0 {
-			return nil, fmt.Errorf("pop-sweep-adaptive: no complete loads at x%g", v)
+			return nil, fmt.Errorf("%s: no complete loads at x%g", name, v)
 		}
 		specs = append(specs, adaptive.CellSpec{
 			Label:  net.Name,
@@ -175,7 +183,7 @@ func (popSweepAdaptiveExp) Run(ctx context.Context, tb *core.Testbed, opts Optio
 }
 
 func popSweepAdaptiveRun(ctx context.Context, tb *core.Testbed, opts Options) (PopSweepAdaptiveResult, error) {
-	specs, err := PopSweepAdaptiveSpecs(tb, opts.Seed)
+	specs, err := PopSweepAdaptiveSpecs(ctx, tb, opts.Seed)
 	if err != nil {
 		return PopSweepAdaptiveResult{}, err
 	}
@@ -208,7 +216,7 @@ func popSweepAdaptiveRun(ctx context.Context, tb *core.Testbed, opts Options) (P
 		return PopSweepAdaptiveResult{}, err
 	}
 	out := PopSweepAdaptiveResult{
-		Base: simnet.LTE.Name, A: "QUIC", B: "TCP",
+		Base: simnet.LTE.Name, A: popSweepA, B: popSweepB,
 		Alpha:       acfg.Alpha,
 		Rounds:      res.Rounds,
 		Votes:       res.Votes,

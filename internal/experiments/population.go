@@ -13,7 +13,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/study"
-	"repro/internal/sweep"
 )
 
 // The pop-* experiment family asks the paper's "would this hold at scale?"
@@ -81,34 +80,21 @@ func (popABExp) Run(ctx context.Context, tb *core.Testbed, opts Options) (Result
 	return popABRun(ctx, tb, opts)
 }
 
-// popABCells builds the stimulus grid: the four Figure 4 pairings over every
-// library scenario and testbed site, with deterministic side assignment.
+// popABCells builds the stimulus grid: the Figure 4 condition grid
+// (core.ABConditions, which owns the side assignment) over every library
+// scenario and testbed site.
 func popABCells(tb *core.Testbed) ([]population.ABCell, error) {
-	var cells []population.ABCell
-	for _, pair := range study.Pairs() {
-		for _, net := range simnet.ScenarioNetworks() {
-			for _, site := range tb.Scale.Sites {
-				a, err := tb.Typical(site, net, pair.A)
-				if err != nil {
-					return nil, err
-				}
-				b, err := tb.Typical(site, net, pair.B)
-				if err != nil {
-					return nil, err
-				}
-				key := site.Name + "|" + net.Name + "|" + pair.String()
-				aLeft := core.DeriveSeed(0, key)&1 == 0
-				cell := population.ABCell{
-					Label:   pair.String() + "|" + net.Name + "|" + site.Name,
-					AOnLeft: aLeft,
-				}
-				if aLeft {
-					cell.Left, cell.Right = a.Report, b.Report
-				} else {
-					cell.Left, cell.Right = b.Report, a.Report
-				}
-				cells = append(cells, cell)
-			}
+	conds, err := tb.ABConditions(simnet.ScenarioNetworks())
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]population.ABCell, len(conds))
+	for i, c := range conds {
+		cells[i] = population.ABCell{
+			Label:   c.Pair.String() + "|" + c.Network + "|" + c.Site,
+			Left:    c.Video.Left.Report,
+			Right:   c.Video.Right.Report,
+			AOnLeft: c.AOnLeft,
 		}
 	}
 	return cells, nil
@@ -398,31 +384,18 @@ func (popSweepExp) Run(ctx context.Context, tb *core.Testbed, opts Options) (Res
 // of its speed to four times.
 var popSweepFactors = []float64{0.25, 0.5, 1, 2, 4}
 
+// popSweepA and popSweepB are the protocol pair both pop-sweep experiments
+// compare.
+const popSweepA, popSweepB = "QUIC", "TCP"
+
 func popSweepRun(ctx context.Context, tb *core.Testbed, opts Options) (PopSweepResult, error) {
-	const protoA, protoB = "QUIC", "TCP"
-	base := simnet.LTE
-	reps := tb.Scale.Reps
-	if reps > 2 {
-		reps = 2 // the panel, not the recording count, carries the power here
+	specs, err := popSweepSpecs(ctx, tb, opts.Seed, "pop-sweep")
+	if err != nil {
+		return PopSweepResult{}, err
 	}
-	out := PopSweepResult{Base: base.Name, A: protoA, B: protoB}
-	for _, v := range popSweepFactors {
-		if err := ctx.Err(); err != nil {
-			return PopSweepResult{}, err
-		}
-		net := sweep.Apply(base, sweep.Speed, v)
-		siA, repA := sweep.MeanReport(tb.Scale.Sites, net, protoA, reps, opts.Seed)
-		siB, repB := sweep.MeanReport(tb.Scale.Sites, net, protoB, reps, opts.Seed)
-		if siA == 0 || siB == 0 {
-			return PopSweepResult{}, fmt.Errorf("pop-sweep: no complete loads at x%g", v)
-		}
-		cell := population.ABCell{Label: net.Name, Left: repA, Right: repB, AOnLeft: true}
-		res, err := population.RunAB(ctx, []population.ABCell{cell}, population.Config{
-			Group:               study.Microworker,
-			Participants:        popSweepPanel,
-			VotesPerParticipant: 1,
-			Seed:                core.DeriveSeed(opts.Seed, net.Name),
-		})
+	out := PopSweepResult{Base: simnet.LTE.Name, A: popSweepA, B: popSweepB}
+	for i, spec := range specs {
+		res, err := population.RunAB(ctx, spec.Cells, spec.Config)
 		if err != nil {
 			return PopSweepResult{}, err
 		}
@@ -431,11 +404,12 @@ func popSweepRun(ctx context.Context, tb *core.Testbed, opts Options) (PopSweepR
 		if err != nil {
 			return PopSweepResult{}, err
 		}
+		cell := spec.Cells[0]
 		out.Rows = append(out.Rows, PopSweepRow{
-			Factor:   v,
-			SIA:      siA,
-			SIB:      siB,
-			GapRatio: float64(siB) / float64(siA),
+			Factor:   popSweepFactors[i],
+			SIA:      cell.Left.SI,
+			SIB:      cell.Right.SI,
+			GapRatio: float64(cell.Right.SI) / float64(cell.Left.SI),
 			Noticed:  ci,
 			N:        res.Cells[0].N(),
 		})

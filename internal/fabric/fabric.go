@@ -409,46 +409,15 @@ func (c *Coordinator) collectWorkerTrace(ctx context.Context, w *worker, tc tele
 
 // dispatch runs every sub-job of a plan, at most two per worker in flight,
 // and returns the per-shard states in ascending shard order. The first
-// failed sub-job cancels the rest.
+// failed sub-job cancels the rest, and its error is the one returned.
 func (c *Coordinator) dispatch(ctx context.Context, plan Plan) ([]qoe.ShardData, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	results := make([][]qoe.ShardData, len(plan.Jobs))
-	sem := make(chan struct{}, 2*len(c.workers))
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for i, r := range plan.Jobs {
-		wg.Add(1)
-		go func(i int, r qoe.ShardRange) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				return
-			}
-			data, err := c.runJob(ctx, qoe.ShardRequest{Study: plan.Study, Scale: plan.Scale, Seed: plan.Seed, Range: r})
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil && !errors.Is(err, context.Canceled) {
-					firstErr = err
-				}
-				errMu.Unlock()
-				cancel()
-				return
-			}
-			results[i] = data
-		}(i, r)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	err := core.ForEach(ctx, len(plan.Jobs), 2*len(c.workers), func(ctx context.Context, i, _ int) error {
+		data, err := c.runJob(ctx, qoe.ShardRequest{Study: plan.Study, Scale: plan.Scale, Seed: plan.Seed, Range: plan.Jobs[i]})
+		results[i] = data
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]qoe.ShardData, 0, plan.TotalShards)
@@ -560,7 +529,7 @@ func (b tupleBackend) RunABShardRange(ctx context.Context, study string, cell in
 	}
 	req := qoe.ShardRequest{
 		Study: study, Cell: cell, Scale: b.scale, Seed: b.seed,
-		Range: qoe.ShardRange{Lo: r.Lo, Hi: r.Hi},
+		Range: r,
 	}
 	data, err := b.c.runJob(ctx, req)
 	if err != nil {

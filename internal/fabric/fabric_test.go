@@ -328,7 +328,7 @@ func TestNonCanonicalConfigFallsBackLocally(t *testing.T) {
 func TestAdaptiveShardRangeDistributes(t *testing.T) {
 	const master = 1
 	c := newCoordinator(t, Config{Workers: workerPool(t, 2, nil)})
-	specs, err := experiments.PopSweepAdaptiveSpecs(refTestbed(), core.DeriveSeed(master, qoe.StudyPopSweepAdaptive))
+	specs, err := experiments.PopSweepAdaptiveSpecs(context.Background(), refTestbed(), core.DeriveSeed(master, qoe.StudyPopSweepAdaptive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestAdaptiveShardRangeFallsBackLocally(t *testing.T) {
 	}
 	pool := workerPool(t, 1, map[int]func(http.Handler) http.Handler{0: poisoned})
 	c := newCoordinator(t, Config{Workers: pool})
-	specs, err := experiments.PopSweepAdaptiveSpecs(refTestbed(), core.DeriveSeed(1, qoe.StudyPopSweepAdaptive))
+	specs, err := experiments.PopSweepAdaptiveSpecs(context.Background(), refTestbed(), core.DeriveSeed(1, qoe.StudyPopSweepAdaptive))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 
 	"repro/internal/conformance"
 	"repro/internal/core"
@@ -166,72 +165,6 @@ func drawDistinct(rng *rand.Rand, dst []int, n, k int) []int {
 	return dst[:k]
 }
 
-// forEachShard executes fn for every shard index on a bounded worker pool.
-// fn must be pure per shard; results are consumed afterwards in shard order.
-// worker identifies the pool slot running the shard (always 0 when
-// sequential), so fn can reuse per-worker scratch — shard results must not
-// depend on which worker ran them, which holds as long as the scratch is
-// (re)initialized from the shard seed alone. Cancelling ctx stops
-// dispatching new shards and fn is expected to return ctx.Err() from inside
-// its participant loop, so a cancelled million-vote run winds down within
-// one participant's worth of work per worker. The first non-nil fn error
-// (in completion order) is returned; on cancellation every in-flight fn
-// observes the same ctx, so that error is ctx.Err().
-func forEachShard(ctx context.Context, shards, workers int, fn func(shard, worker int) error) error {
-	if workers <= 1 {
-		for i := 0; i < shards; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	jobs := make(chan int)
-	var (
-		wg     sync.WaitGroup
-		errMu  sync.Mutex
-		runErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				if err := fn(i, w); err != nil {
-					setErr(err)
-				}
-			}
-		}(w)
-	}
-feed:
-	for i := 0; i < shards; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return runErr
-}
-
 // popWorker is the pooled per-worker scratch of the shard loop: one rng
 // (reseeded from the shard seed at every shard, so results stay independent
 // of worker assignment), one reusable participant model, one reusable
@@ -279,16 +212,19 @@ func runShards[C any](ctx context.Context, d design[C], cfg Config, first, last 
 		shards[i].cells = slab[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	seeds := shardSeeds(cfg.Seed, cfg.Shards)
+	// cfg.Workers is resolved, so this is ForEach's own clamp: one scratch
+	// entry per worker index it hands out.
 	workers := min(cfg.Workers, n)
 	pool := newPopWorkers(workers, nc)
 	kind := d.kind()
-	err := forEachShard(ctx, n, workers, func(ri, wi int) error {
+	err := core.ForEach(ctx, n, workers, func(ctx context.Context, ri, wi int) error {
 		si := first + ri
 		sh := &shards[ri]
 		ws := &pool[wi]
 		ws.rng.Seed(seeds[si])
 		lo, hi := shardRange(cfg.Participants, cfg.Shards, si)
 		for p := lo; p < hi; p++ {
+			// A cancelled run winds down within one participant per worker.
 			if err := ctx.Err(); err != nil {
 				return err
 			}

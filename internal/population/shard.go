@@ -28,7 +28,9 @@ import (
 //     the same order, a distributed run is byte-identical to a single-node
 //     run at any cluster size.
 
-// ShardRange is a half-open range [Lo, Hi) of absolute shard indices.
+// ShardRange is a half-open range [Lo, Hi) of absolute shard indices. It is
+// also the wire range of a shard request (pkg/qoe aliases it), hence the
+// JSON tags.
 type ShardRange struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`

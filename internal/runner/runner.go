@@ -2,15 +2,16 @@
 // testbed. It merges the (network × protocol) condition grids declared by
 // every selected experiment into a single prewarm plan — so each condition
 // is recorded exactly once for the whole batch instead of once per
-// experiment — then runs the experiments on a bounded worker pool.
+// experiment — then runs the experiments through core.ForEach, the module's
+// one bounded fan-out.
 //
 // Each experiment gets a deterministic seed derived from the master seed and
 // its name (core.DeriveSeed: FNV over the name XOR the master seed, the same
 // idiom the testbed uses for per-condition recording seeds), so every result
 // is identical whether the experiments run sequentially or in parallel.
 //
-// RunContext honors context cancellation through the prewarm, the worker
-// pool, and (via the Experiment interface) each experiment's own execution,
+// RunContext honors context cancellation through the prewarm, the fan-out,
+// and (via the Experiment interface) each experiment's own execution,
 // and it streams completed results to caller hooks in input order — the
 // engine beneath pkg/qoe's streaming Session API, whose sinks own every
 // output encoding.
@@ -19,7 +20,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -136,10 +136,10 @@ type Hooks struct {
 }
 
 // RunContext prewarms one shared testbed with the merged plan of all
-// experiments, then executes them on a worker pool. The returned report
-// lists results in input order regardless of completion order; a
-// per-experiment failure is recorded in its slot rather than aborting the
-// batch.
+// experiments, then executes them through core.ForEach with opts.Parallel
+// workers. The returned report lists results in input order regardless of
+// completion order; a per-experiment failure is recorded in its slot rather
+// than aborting the batch.
 //
 // Cancelling ctx stops the run promptly: the prewarm stops between
 // conditions, experiments not yet started are marked with ctx.Err() instead
@@ -160,89 +160,56 @@ func RunContext(ctx context.Context, exps []experiments.Experiment, opts Options
 	}
 	if rep.Conditions > 0 {
 		progress(Progress{Stage: "prewarm", Total: rep.Conditions})
-		if err := tb.Prewarm(ctx, nets, prots); err != nil {
-			// Mark every experiment cancelled and still honor the Hooks.Result
-			// once-per-experiment contract, so sinks observe the outcome of a
-			// batch that died in the prewarm.
-			for i, e := range exps {
-				rep.Results[i] = ExperimentReport{Name: e.Name(), Seed: core.DeriveSeed(opts.Seed, e.Name()), Err: err}
-				if hooks.Result != nil {
-					hooks.Result(i, rep.Results[i], nil)
-				}
-			}
-			rep.Cache = tb.Stats()
-			rep.Prewarm = time.Since(start)
-			rep.Total = rep.Prewarm
-			return rep
+		// Prewarm fails only on cancellation; the pool below then starts no
+		// experiment and marks every one with ctx.Err().
+		if tb.Prewarm(ctx, nets, prots) == nil {
+			progress(Progress{Stage: "prewarm", Completed: rep.Conditions, Total: rep.Conditions})
 		}
-		progress(Progress{Stage: "prewarm", Completed: rep.Conditions, Total: rep.Conditions})
 	}
 	rep.Prewarm = time.Since(start)
 
-	workers := opts.Parallel
-	if workers <= 0 {
-		workers = core.DefaultParallelism()
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
+	// The pool runs on its own goroutine so this one can coordinate: record
+	// completions as they arrive, surface progress immediately, and flush
+	// Result hooks in input order. Experiments fail into their own slots,
+	// so fn never returns an error and one failure cancels nothing.
 	type done struct {
 		i   int
 		rep ExperimentReport
 		res experiments.Result
 	}
-	jobs := make(chan int)
-	results := make(chan done)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				e := exps[i]
-				if err := ctx.Err(); err != nil {
-					results <- done{i, ExperimentReport{Name: e.Name(), Seed: core.DeriveSeed(opts.Seed, e.Name()), Err: err}, nil}
-					continue
-				}
-				r, res := runOne(ctx, tb, e, opts)
-				results <- done{i, r, res}
-			}
-		}()
-	}
+	finished := make(chan done)
 	go func() {
-		for i := range exps {
-			jobs <- i
-		}
-		close(jobs)
+		core.ForEach(ctx, len(exps), opts.Parallel, func(ctx context.Context, i, _ int) error {
+			r, res := runOne(ctx, tb, exps[i], opts)
+			finished <- done{i, r, res}
+			return nil
+		})
+		close(finished)
 	}()
-
-	// Coordinate from this goroutine: record completions as they arrive,
-	// surface progress immediately, and flush Result hooks in input order.
-	pending := make(map[int]done)
+	ran := make([]bool, len(exps))
+	results := make([]experiments.Result, len(exps))
 	next, completed := 0, 0
-	for completed < len(exps) {
-		d := <-results
-		rep.Results[d.i] = d.rep
+	record := func(d done) {
+		rep.Results[d.i], results[d.i], ran[d.i] = d.rep, d.res, true
 		completed++
 		progress(Progress{Stage: "experiment", Experiment: d.rep.Name, Completed: completed, Total: len(exps)})
-		pending[d.i] = d
-		for {
-			f, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
+		for ; next < len(exps) && ran[next]; next++ {
 			if hooks.Result != nil {
-				hooks.Result(next, f.rep, f.res)
+				hooks.Result(next, rep.Results[next], results[next])
 			}
-			next++
+			results[next] = nil
 		}
 	}
-	wg.Wait()
+	for d := range finished {
+		record(d)
+	}
+	// The pool stops feeding only on cancellation: every experiment it never
+	// started still gets its one progress and Result notification.
+	for i, e := range exps {
+		if !ran[i] {
+			record(done{i, ExperimentReport{Name: e.Name(), Seed: core.DeriveSeed(opts.Seed, e.Name()), Err: ctx.Err()}, nil})
+		}
+	}
 
 	rep.Cache = tb.Stats()
 	rep.Total = time.Since(start)

@@ -200,6 +200,66 @@ func FuzzCanonicalize(f *testing.F) {
 	})
 }
 
+// FuzzCanonicalizeShard: shard-spec canonicalization never panics, and an
+// accepted spec always addresses a valid cell and a non-empty range inside
+// its study's shard space, and its ID is stable across canonicalizations.
+// Seeded with full, first, last and middle ranges of every cell of every
+// shard study, plus boundary and out-of-range cases.
+func FuzzCanonicalizeShard(f *testing.F) {
+	studies := []string{qoe.StudyPopAB, qoe.StudyPopRating, qoe.StudyPopSweepAdaptive}
+	for _, study := range studies {
+		shards, err := qoe.StudyShards(study)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cells, err := qoe.StudyCells(study)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for cell := 0; cell < cells; cell++ {
+			for _, r := range [][2]int{{0, shards}, {0, 1}, {shards - 1, shards}, {shards / 4, shards / 2}} {
+				f.Add(study, "quick", int64(cell), r[0], r[1], cell)
+			}
+		}
+		f.Add(study, "", int64(1), -1, 1, 0)            // negative lo
+		f.Add(study, "paper", int64(1), 0, shards+1, 0) // hi past the shard space
+		f.Add(study, "quick", int64(1), 3, 3, 0)        // empty range
+		f.Add(study, "quick", int64(1), 5, 2, 0)        // inverted range
+		f.Add(study, "quick", int64(1), 0, 1, cells)    // one cell past the grid
+		f.Add(study, "quick", int64(1), 0, 1, -1)       // negative cell
+		f.Add(study, "huge", int64(1), 0, 1, 0)         // unknown scale
+	}
+	f.Add("pop-sweep", "quick", int64(1), 0, 1, 0) // not a shard study
+	f.Add("", "", int64(0), 0, 0, 0)
+	f.Fuzz(func(t *testing.T, study, scale string, seed int64, lo, hi, cell int) {
+		spec, err := CanonicalizeShard(study, scale, seed, lo, hi, cell)
+		if err != nil {
+			return
+		}
+		shards, err := qoe.StudyShards(study)
+		if err != nil {
+			t.Fatalf("accepted unknown study %q", study)
+		}
+		cells, _ := qoe.StudyCells(study)
+		sh := spec.Shard
+		if sh == nil || sh.Study != study || sh.Range != (qoe.ShardRange{Lo: lo, Hi: hi}) || sh.Cell != cell {
+			t.Fatalf("spec %+v does not carry the request (%q, [%d,%d), cell %d)", sh, study, lo, hi, cell)
+		}
+		if lo < 0 || lo >= hi || hi > shards {
+			t.Fatalf("accepted range [%d,%d) for %d shards of %s", lo, hi, shards, study)
+		}
+		if cell < 0 || cell >= cells {
+			t.Fatalf("accepted cell %d for %d cells of %s", cell, cells, study)
+		}
+		// Re-canonicalizing the spec's own tuple (scale now resolved) must
+		// address the same run.
+		again, err := CanonicalizeShard(study, string(spec.Scale), seed, lo, hi, cell)
+		if err != nil || again.ID() != spec.ID() {
+			t.Fatalf("%q re-canonicalized to %q, %v", spec.Key(), again.Key(), err)
+		}
+	})
+}
+
 // TestOneShotMatchesGolden: the serving path end to end — a cold one-shot
 // GET streams bytes identical to the pinned `qoebench -stream` golden, and
 // a second request (now a cache hit) replays the identical bytes with zero

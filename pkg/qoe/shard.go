@@ -74,16 +74,9 @@ func unknownStudy(study string) error {
 func IsAdaptiveStudy(study string) bool { return study == StudyPopSweepAdaptive }
 
 // ShardRange is a half-open range [Lo, Hi) of absolute population shard
-// indices (the engine's canonical runs use 64 shards).
-type ShardRange struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-}
-
-// Count returns the number of shards in the range.
-func (r ShardRange) Count() int { return r.Hi - r.Lo }
-
-func (r ShardRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
+// indices (the engine's canonical runs use 64 shards): the engine's own
+// range type, so a request's range reaches the engine unconverted.
+type ShardRange = population.ShardRange
 
 // ShardRequest names one shard-range sub-job of a canonical population
 // study.
@@ -281,7 +274,7 @@ func (e *ShardExecutor) testbed(scale core.Scale, scaleName Scale, seed int64) *
 // master seed) tuple, cached alongside the testbed: every round grant of
 // every cell reuses one measured stimulus grid, exactly like the
 // coordinator's own run does. expSeed is the study-derived seed.
-func (e *ShardExecutor) adaptiveSpecs(tb *core.Testbed, scaleName Scale, seed, expSeed int64) ([]adaptive.CellSpec, error) {
+func (e *ShardExecutor) adaptiveSpecs(ctx context.Context, tb *core.Testbed, scaleName Scale, seed, expSeed int64) ([]adaptive.CellSpec, error) {
 	key := e.testbedKey(scaleName, seed)
 	e.mu.Lock()
 	cached, ok := e.specs[key]
@@ -289,7 +282,7 @@ func (e *ShardExecutor) adaptiveSpecs(tb *core.Testbed, scaleName Scale, seed, e
 	if ok {
 		return cached, nil
 	}
-	specs, err := experiments.PopSweepAdaptiveSpecs(tb, expSeed)
+	specs, err := experiments.PopSweepAdaptiveSpecs(ctx, tb, expSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +314,6 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 	if !ok {
 		return fmt.Errorf("qoe: cell %d out of range for %s (%d cells)", req.Cell, req.Study, cellCount)
 	}
-	prange := population.ShardRange{Lo: req.Range.Lo, Hi: req.Range.Hi}
 	tb := e.testbed(scale, req.Scale, req.Seed)
 
 	// Compute all states before writing: a validation error (bad range)
@@ -337,7 +329,7 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		states, err := population.RunABRange(ctx, cells, cfg, prange)
+		states, err := population.RunABRange(ctx, cells, cfg, req.Range)
 		if err != nil {
 			return err
 		}
@@ -349,7 +341,7 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		states, err := population.RunRatingRange(ctx, cells, cfg, prange)
+		states, err := population.RunRatingRange(ctx, cells, cfg, req.Range)
 		if err != nil {
 			return err
 		}
@@ -362,11 +354,11 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		// coordinator's allocator granted against — so shard i's state is
 		// byte-identical to the in-process engine's, and the coordinator's
 		// accumulator fold cannot tell the difference.
-		specs, err := e.adaptiveSpecs(tb, req.Scale, req.Seed, expSeed)
+		specs, err := e.adaptiveSpecs(ctx, tb, req.Scale, req.Seed, expSeed)
 		if err != nil {
 			return err
 		}
-		states, err := population.RunABRange(ctx, specs[req.Cell].Cells, cfg, prange)
+		states, err := population.RunABRange(ctx, specs[req.Cell].Cells, cfg, req.Range)
 		if err != nil {
 			return err
 		}
