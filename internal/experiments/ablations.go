@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -127,25 +126,17 @@ func (r AblationResult) Render(w io.Writer) {
 
 // CSV writes one row per network comparison.
 func (r AblationResult) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"network", "label_a", "label_b",
-		"mean_si_a_s", "mean_si_b_s", "speedup_b_over_a", "winner_a"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Network, row.LabelA, row.LabelB,
-			fmtFloat(row.MeanSIA.Seconds()),
-			fmtFloat(row.MeanSIB.Seconds()),
-			fmtFloat(row.Speedup),
-			strconv.FormatBool(row.WinnerA),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"network", "label_a", "label_b",
+		"mean_si_a_s", "mean_si_b_s", "speedup_b_over_a", "winner_a"}, r.Rows,
+		func(row AblationRow) []string {
+			return []string{
+				row.Network, row.LabelA, row.LabelB,
+				fmtFloat(row.MeanSIA.Seconds()),
+				fmtFloat(row.MeanSIB.Seconds()),
+				fmtFloat(row.Speedup),
+				strconv.FormatBool(row.WinnerA),
+			}
+		})
 }
 
 // JSON writes the full result as indented JSON.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -17,6 +18,27 @@ func parseCSV(t *testing.T, b []byte) [][]string {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+type failWriter struct{ err error }
+
+func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// TestWriteCSV pins the shared encoder's two edges: a failing writer's error
+// reaches the caller, and no rows still yield the header.
+func TestWriteCSV(t *testing.T) {
+	cell := func(s string) []string { return []string{s} }
+	boom := errors.New("boom")
+	if err := writeCSV(failWriter{boom}, []string{"h"}, []string{"x"}, cell); !errors.Is(err, boom) {
+		t.Fatalf("failing writer: err = %v, want %v", err, boom)
+	}
+	var buf bytes.Buffer
+	if err := writeCSV(&buf, []string{"a", "b"}, nil, cell); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "a,b\n" {
+		t.Fatalf("nil rows wrote %q, want only the header", got)
+	}
 }
 
 func TestFig4CSV(t *testing.T) {

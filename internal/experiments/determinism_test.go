@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"testing"
 
 	"repro/internal/core"
@@ -119,9 +120,13 @@ func TestRegistryCoversAllExperiments(t *testing.T) {
 // TestRegisteredExperimentsDeterministic extends the per-figure determinism
 // tests to the registry contract: every experiment's Run against a shared
 // prewarmed testbed must render byte-identically across repeated runs, in
-// all three output formats.
+// all three output formats, and its CSV must parse as a header plus at least
+// one record of the header's width.
 func TestRegisteredExperimentsDeterministic(t *testing.T) {
 	opts := tinyOpts()
+	// Figure 6 correlates over at least three sites; at two its document
+	// would be a bare header.
+	opts.Scale.Sites = core.QuickScale().Sites[:3]
 	encode := func() map[string]string {
 		tb := core.NewTestbed(opts.Scale, opts.Seed)
 		out := map[string]string{}
@@ -132,9 +137,20 @@ func TestRegisteredExperimentsDeterministic(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			res.Render(&buf)
-			if err := res.CSV(&buf); err != nil {
+			var doc bytes.Buffer
+			if err := res.CSV(&doc); err != nil {
 				t.Fatalf("%s: CSV: %v", e.Name(), err)
 			}
+			// The reader's default FieldsPerRecord rejects any record
+			// whose width differs from the header's.
+			records, err := csv.NewReader(bytes.NewReader(doc.Bytes())).ReadAll()
+			if err != nil {
+				t.Fatalf("%s: CSV: %v", e.Name(), err)
+			}
+			if len(records) < 2 {
+				t.Fatalf("%s: CSV has %d records, want a header and at least one row", e.Name(), len(records))
+			}
+			buf.Write(doc.Bytes())
 			if err := res.JSON(&buf); err != nil {
 				t.Fatalf("%s: JSON: %v", e.Name(), err)
 			}

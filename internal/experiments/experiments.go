@@ -19,7 +19,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -72,17 +71,8 @@ func (r Table1Result) Render(w io.Writer) {
 
 // CSV writes one row per protocol configuration.
 func (r Table1Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"protocol", "description"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := cw.Write([]string{row.Protocol, row.Description}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"protocol", "description"}, r.Rows,
+		func(row core.Table1Row) []string { return []string{row.Protocol, row.Description} })
 }
 
 // JSON writes the rows as indented JSON.
@@ -107,24 +97,16 @@ func (r Table2Result) Render(w io.Writer) {
 
 // CSV writes one row per network configuration.
 func (r Table2Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"network", "uplink_bps", "downlink_bps", "min_rtt_s", "loss_rate"}); err != nil {
-		return err
-	}
-	for _, n := range r.Networks {
-		rec := []string{
-			n.Name,
-			strconv.FormatInt(int64(n.UplinkBps), 10),
-			strconv.FormatInt(int64(n.DownlinkBps), 10),
-			fmtFloat(n.MinRTT.Seconds()),
-			fmtFloat(n.LossRate),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"network", "uplink_bps", "downlink_bps", "min_rtt_s", "loss_rate"}, r.Networks,
+		func(n simnet.NetworkConfig) []string {
+			return []string{
+				n.Name,
+				strconv.FormatInt(int64(n.UplinkBps), 10),
+				strconv.FormatInt(int64(n.DownlinkBps), 10),
+				fmtFloat(n.MinRTT.Seconds()),
+				fmtFloat(n.LossRate),
+			}
+		})
 }
 
 // JSON writes the network configurations as indented JSON.
@@ -153,19 +135,6 @@ func init() {
 	Register(table2Exp{})
 }
 
-// networksByName resolves a list of Table 2 names.
-func networksByName(names []string) []simnet.NetworkConfig {
-	out := make([]simnet.NetworkConfig, 0, len(names))
-	for _, n := range names {
-		cfg, err := simnet.NetworkByName(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, cfg)
-	}
-	return out
-}
-
 // sortedEnvNetPairs iterates (environment, network) cells in Figure 5 order.
 func sortedEnvNetPairs() []struct {
 	Env study.Environment
@@ -184,18 +153,6 @@ func sortedEnvNetPairs() []struct {
 		}
 	}
 	return out
-}
-
-// meanOf is a tiny helper for aggregated prints.
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // sortShares orders Figure 4 cells by pair order then network order.

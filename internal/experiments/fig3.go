@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -202,27 +201,19 @@ func (r Fig3Result) Render(w io.Writer) {
 
 // CSV writes one row per condition with the three groups' statistics.
 func (r Fig3Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"site", "network", "protocol", "environment",
+	return writeCSV(w, []string{"site", "network", "protocol", "environment",
 		"lab_mean", "lab_ci_lo", "lab_ci_hi", "lab_n",
 		"mworker_mean", "mworker_ci_lo", "mworker_ci_hi", "mworker_n",
-		"internet_median", "internet_n"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		c := row.Condition
-		rec := []string{
-			c.Site, c.Network, c.Protocol, c.Environment.String(),
-			fmtFloat(row.Lab.Point), fmtFloat(row.Lab.Lo), fmtFloat(row.Lab.Hi), strconv.Itoa(row.LabN),
-			fmtFloat(row.MWorker.Point), fmtFloat(row.MWorker.Lo), fmtFloat(row.MWorker.Hi), strconv.Itoa(row.MWN),
-			fmtFloat(row.InternetMedian), strconv.Itoa(row.INN),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		"internet_median", "internet_n"}, r.Rows,
+		func(row Fig3Row) []string {
+			c := row.Condition
+			return []string{
+				c.Site, c.Network, c.Protocol, c.Environment.String(),
+				fmtFloat(row.Lab.Point), fmtFloat(row.Lab.Lo), fmtFloat(row.Lab.Hi), strconv.Itoa(row.LabN),
+				fmtFloat(row.MWorker.Point), fmtFloat(row.MWorker.Lo), fmtFloat(row.MWorker.Hi), strconv.Itoa(row.MWN),
+				fmtFloat(row.InternetMedian), strconv.Itoa(row.INN),
+			}
+		})
 }
 
 // JSON writes the full result as indented JSON.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -92,22 +91,14 @@ func (r Fig4Result) Render(w io.Writer) {
 
 // CSV writes the A/B vote shares, one row per (network, pair).
 func (r Fig4Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"network", "pair_a", "pair_b", "share_a", "share_nodiff", "share_b", "avg_replays", "n"}); err != nil {
-		return err
-	}
-	for _, s := range r.Shares {
-		rec := []string{
-			s.Network, s.Pair.A, s.Pair.B,
-			fmtFloat(s.ShareA), fmtFloat(s.ShareNone), fmtFloat(s.ShareB),
-			fmtFloat(s.AvgReplays), strconv.Itoa(s.N),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"network", "pair_a", "pair_b", "share_a", "share_nodiff", "share_b", "avg_replays", "n"}, r.Shares,
+		func(s core.ABShare) []string {
+			return []string{
+				s.Network, s.Pair.A, s.Pair.B,
+				fmtFloat(s.ShareA), fmtFloat(s.ShareNone), fmtFloat(s.ShareB),
+				fmtFloat(s.AvgReplays), strconv.Itoa(s.N),
+			}
+		})
 }
 
 // JSON writes the share cells as indented JSON.

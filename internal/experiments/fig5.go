@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -240,21 +239,13 @@ func (r Fig5Result) Render(w io.Writer) {
 
 // CSV writes the rating cells, one row per (environment, network, protocol).
 func (r Fig5Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"environment", "network", "protocol", "mean", "ci_lo", "ci_hi", "n"}); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		rec := []string{
-			c.Environment.String(), c.Network, c.Protocol,
-			fmtFloat(c.CI.Point), fmtFloat(c.CI.Lo), fmtFloat(c.CI.Hi), strconv.Itoa(c.N),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"environment", "network", "protocol", "mean", "ci_lo", "ci_hi", "n"}, r.Cells,
+		func(c Fig5Cell) []string {
+			return []string{
+				c.Environment.String(), c.Network, c.Protocol,
+				fmtFloat(c.CI.Point), fmtFloat(c.CI.Lo), fmtFloat(c.CI.Hi), strconv.Itoa(c.N),
+			}
+		})
 }
 
 // JSON writes the rating cells as indented JSON.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -175,19 +174,10 @@ func (r Fig6Result) Render(w io.Writer) {
 
 // CSV writes the correlation heatmap, one row per cell.
 func (r Fig6Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"protocol", "network", "metric", "pearson_r", "sites"}); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		rec := []string{c.Protocol, c.Network, c.Metric,
-			fmtFloat(c.R), strconv.Itoa(c.Sites)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"protocol", "network", "metric", "pearson_r", "sites"}, r.Cells,
+		func(c Fig6Cell) []string {
+			return []string{c.Protocol, c.Network, c.Metric, fmtFloat(c.R), strconv.Itoa(c.Sites)}
+		})
 }
 
 // JSON writes the heatmap cells as indented JSON.

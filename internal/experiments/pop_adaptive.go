@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -280,28 +279,20 @@ func (r PopSweepAdaptiveResult) Render(w io.Writer) {
 
 // CSV writes one row per sweep step.
 func (r PopSweepAdaptiveResult) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"factor", "si_a_s", "si_b_s", "gap_ratio", "outcome",
+	return writeCSV(w, []string{"factor", "si_a_s", "si_b_s", "gap_ratio", "outcome",
 		"noticed", "noticed_ci_lo", "noticed_ci_hi", "ci_level",
-		"n", "budget", "shards_run", "shards_total", "round", "looks"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			fmtFloat(row.Factor), fmtFloat(row.SIA.Seconds()), fmtFloat(row.SIB.Seconds()),
-			fmtFloat(row.GapRatio), row.Outcome,
-			fmtFloat(row.Noticed.Point), fmtFloat(row.Noticed.Lo), fmtFloat(row.Noticed.Hi),
-			fmtFloat(row.Noticed.Level),
-			strconv.FormatInt(row.N, 10), strconv.FormatInt(row.Budget, 10),
-			strconv.Itoa(row.ShardsRun), strconv.Itoa(row.ShardsTotal),
-			strconv.Itoa(row.Round), strconv.Itoa(row.Looks),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		"n", "budget", "shards_run", "shards_total", "round", "looks"}, r.Rows,
+		func(row PopSweepAdaptiveRow) []string {
+			return []string{
+				fmtFloat(row.Factor), fmtFloat(row.SIA.Seconds()), fmtFloat(row.SIB.Seconds()),
+				fmtFloat(row.GapRatio), row.Outcome,
+				fmtFloat(row.Noticed.Point), fmtFloat(row.Noticed.Lo), fmtFloat(row.Noticed.Hi),
+				fmtFloat(row.Noticed.Level),
+				strconv.FormatInt(row.N, 10), strconv.FormatInt(row.Budget, 10),
+				strconv.Itoa(row.ShardsRun), strconv.Itoa(row.ShardsTotal),
+				strconv.Itoa(row.Round), strconv.Itoa(row.Looks),
+			}
+		})
 }
 
 // JSON writes the sweep as indented JSON.

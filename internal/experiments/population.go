@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -170,24 +169,16 @@ func (r PopABResult) Render(w io.Writer) {
 
 // CSV writes one row per (pair, scenario).
 func (r PopABResult) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"pair", "scenario", "n", "share_a", "share_none", "share_b",
-		"noticed", "noticed_ci_lo", "noticed_ci_hi", "mean_confidence", "mean_replays"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Pair.String(), row.Scenario, strconv.FormatInt(row.N, 10),
-			fmtFloat(row.ShareA), fmtFloat(row.ShareNo), fmtFloat(row.ShareB),
-			fmtFloat(row.Noticed.Point), fmtFloat(row.Noticed.Lo), fmtFloat(row.Noticed.Hi),
-			fmtFloat(row.MeanConf), fmtFloat(row.Replays),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"pair", "scenario", "n", "share_a", "share_none", "share_b",
+		"noticed", "noticed_ci_lo", "noticed_ci_hi", "mean_confidence", "mean_replays"}, r.Rows,
+		func(row PopABRow) []string {
+			return []string{
+				row.Pair.String(), row.Scenario, strconv.FormatInt(row.N, 10),
+				fmtFloat(row.ShareA), fmtFloat(row.ShareNo), fmtFloat(row.ShareB),
+				fmtFloat(row.Noticed.Point), fmtFloat(row.Noticed.Lo), fmtFloat(row.Noticed.Hi),
+				fmtFloat(row.MeanConf), fmtFloat(row.Replays),
+			}
+		})
 }
 
 // JSON writes the aggregated rows as indented JSON.
@@ -324,23 +315,15 @@ func (r PopRatingResult) Render(w io.Writer) {
 
 // CSV writes one row per (environment, scenario, protocol).
 func (r PopRatingResult) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"environment", "scenario", "protocol", "n",
-		"mean", "ci_lo", "ci_hi", "sd", "median", "p10", "p90"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Environment.String(), row.Scenario, row.Protocol, strconv.FormatInt(row.N, 10),
-			fmtFloat(row.Mean.Point), fmtFloat(row.Mean.Lo), fmtFloat(row.Mean.Hi),
-			fmtFloat(row.StdDev), fmtFloat(row.Median), fmtFloat(row.P10), fmtFloat(row.P90),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"environment", "scenario", "protocol", "n",
+		"mean", "ci_lo", "ci_hi", "sd", "median", "p10", "p90"}, r.Rows,
+		func(row PopRatingRow) []string {
+			return []string{
+				row.Environment.String(), row.Scenario, row.Protocol, strconv.FormatInt(row.N, 10),
+				fmtFloat(row.Mean.Point), fmtFloat(row.Mean.Lo), fmtFloat(row.Mean.Hi),
+				fmtFloat(row.StdDev), fmtFloat(row.Median), fmtFloat(row.P10), fmtFloat(row.P90),
+			}
+		})
 }
 
 // JSON writes the aggregated rows as indented JSON.
@@ -443,23 +426,15 @@ func (r PopSweepResult) Render(w io.Writer) {
 
 // CSV writes one row per sweep step.
 func (r PopSweepResult) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"factor", "si_a_s", "si_b_s", "gap_ratio",
-		"noticed", "noticed_ci_lo", "noticed_ci_hi", "n"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			fmtFloat(row.Factor), fmtFloat(row.SIA.Seconds()), fmtFloat(row.SIB.Seconds()),
-			fmtFloat(row.GapRatio), fmtFloat(row.Noticed.Point), fmtFloat(row.Noticed.Lo),
-			fmtFloat(row.Noticed.Hi), strconv.FormatInt(row.N, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"factor", "si_a_s", "si_b_s", "gap_ratio",
+		"noticed", "noticed_ci_lo", "noticed_ci_hi", "n"}, r.Rows,
+		func(row PopSweepRow) []string {
+			return []string{
+				fmtFloat(row.Factor), fmtFloat(row.SIA.Seconds()), fmtFloat(row.SIB.Seconds()),
+				fmtFloat(row.GapRatio), fmtFloat(row.Noticed.Point), fmtFloat(row.Noticed.Lo),
+				fmtFloat(row.Noticed.Hi), strconv.FormatInt(row.N, 10),
+			}
+		})
 }
 
 // JSON writes the sweep rows as indented JSON.

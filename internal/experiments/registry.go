@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -195,6 +196,22 @@ func editDistance(a, b string) int {
 
 // fmtFloat is the shared 4-decimal float encoding of every Result.CSV.
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+
+// writeCSV is the shared encoder behind every Result.CSV: the header, then
+// one record per row, then the writer's first error.
+func writeCSV[T any](w io.Writer, header []string, rows []T, record func(T) []string) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	for _, row := range rows {
+		if err := cw.Write(record(row)); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
 
 // writeJSON is the shared indented-JSON encoder behind every Result.JSON.
 func writeJSON(w io.Writer, v interface{}) error {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -66,25 +65,17 @@ func (r Table3Result) Render(w io.Writer) {
 
 // CSV writes the participation funnel, one row per (group, study).
 func (r Table3Result) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	header := []string{"group", "study", "start"}
 	for i := 1; i <= conformance.RuleCount; i++ {
 		header = append(header, fmt.Sprintf("after_r%d", i))
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, fu := range r.Funnels {
+	return writeCSV(w, header, r.Funnels, func(fu conformance.Funnel) []string {
 		rec := []string{fu.Group.String(), fu.Kind.String(), strconv.Itoa(fu.Start)}
 		for _, a := range fu.After {
 			rec = append(rec, strconv.Itoa(a))
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		return rec
+	})
 }
 
 // JSON writes the full result as indented JSON.

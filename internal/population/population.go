@@ -223,10 +223,15 @@ func runShards[C any](ctx context.Context, d design[C], cfg Config, first, last 
 		ws := &pool[wi]
 		ws.rng.Seed(seeds[si])
 		lo, hi := shardRange(cfg.Participants, cfg.Shards, si)
+		// A cancelled run winds down within one participant per worker.
+		// Polling the Done channel, fetched once per shard, keeps the
+		// participant loop off the context's shared mutex.
+		done := ctx.Done()
 		for p := lo; p < hi; p++ {
-			// A cancelled run winds down within one participant per worker.
-			if err := ctx.Err(); err != nil {
-				return err
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
 			}
 			if cfg.Conformance {
 				participant.BehaviourInto(&ws.session, cfg.Group, kind, ws.rng)
