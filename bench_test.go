@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/participant"
+	"repro/internal/prng"
 	"repro/internal/runner"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -401,9 +402,7 @@ func BenchmarkSpeedIndex(b *testing.B) {
 // the per-vote draws that population runs repeat millions of times.
 func BenchmarkABVote(b *testing.B) {
 	b.ReportAllocs()
-	sim := simnet.New(1)
-	rng := sim.SubRand(1)
-	m := participant.New(study.Microworker, rng)
+	m := participant.New(study.Microworker, prng.New(1))
 	stim := participant.NewABStimulus(study.Microworker, benchVoteLeft, benchVoteRight)
 	for i := 0; i < b.N; i++ {
 		m.ABVote(&stim)

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/conformance"
 	"repro/internal/participant"
+	"repro/internal/prng"
 	"repro/internal/simnet"
 	"repro/internal/study"
 	"repro/internal/video"
@@ -93,7 +92,7 @@ func RunABStudy(group study.Group, conditions []ABCondition, seed int64) ABOutco
 	for i, cond := range conditions {
 		stimuli[i] = participant.NewABStimulus(group, cond.Video.Left.Report, cond.Video.Right.Report)
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0xAB))
+	rng := prng.New(seed ^ 0xAB)
 	plan := study.PlanFor(group)
 	scratch := make([]int, len(conditions))
 	var model participant.Model
@@ -250,7 +249,7 @@ func RunRatingStudy(group study.Group, conditions []RatingCondition, seed int64)
 			maxEnvCells = len(idxs)
 		}
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5A7E))
+	rng := prng.New(seed ^ 0x5A7E)
 	scratch := make([]int, maxEnvCells)
 	var model participant.Model
 	for range kept {
@@ -276,7 +275,7 @@ func RunRatingStudy(group study.Group, conditions []RatingCondition, seed int64)
 // (capacity >= n). When a random subset is needed it consumes exactly the
 // draws rand.Perm(n) would — including the i=0 Intn(1) draw — so swapping in
 // the scratch version cannot move any downstream random number.
-func pickConditionsInto(rng *rand.Rand, scratch []int, n, count int) []int {
+func pickConditionsInto(rng *prng.Rand, scratch []int, n, count int) []int {
 	out := scratch[:n]
 	if count >= n {
 		for i := range out {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Shape checks of the machine-readable encoders behind Result.CSV and
@@ -67,14 +70,22 @@ func TestFig5CSV(t *testing.T) {
 	}
 }
 
+// TestFig6CSV runs at three lab sites: Figure 6 correlates over sites and
+// skips every cell with fewer than three.
 func TestFig6CSV(t *testing.T) {
-	res := runFresh[Fig6Result](t, "fig6", tinyOpts())
+	opts := tinyOpts()
+	opts.Scale.Sites = core.QuickScale().Sites[:3]
+	res := runFresh[Fig6Result](t, "fig6", opts)
 	var buf bytes.Buffer
 	if err := res.CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "pearson_r") {
-		t.Fatal("missing header")
+	rows := parseCSV(t, buf.Bytes())
+	if len(rows) < 2 {
+		t.Fatalf("fig6 CSV has %d records, want a header and at least one data row", len(rows))
+	}
+	if !slices.Contains(rows[0], "pearson_r") {
+		t.Fatalf("header %v lacks pearson_r", rows[0])
 	}
 }
 

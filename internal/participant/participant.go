@@ -16,11 +16,11 @@ package participant
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/conformance"
 	"repro/internal/metrics"
+	"repro/internal/prng"
 	"repro/internal/stats"
 	"repro/internal/study"
 )
@@ -30,7 +30,7 @@ import (
 // (ABStimulus, RatingStimulus), built once per stimulus cell and voter
 // group.
 type Model struct {
-	rng *rand.Rand
+	rng *prng.Rand
 	// Group determines the rating noise and response style.
 	Group study.Group
 	// bias is this participant's stable rating offset.
@@ -60,7 +60,7 @@ const salienceDelta = 0.4
 
 // New creates a participant of the given group from the supplied random
 // stream.
-func New(g study.Group, rng *rand.Rand) *Model {
+func New(g study.Group, rng *prng.Rand) *Model {
 	m := &Model{}
 	m.Reinit(g, rng)
 	return m
@@ -70,7 +70,7 @@ func New(g study.Group, rng *rand.Rand) *Model {
 // draws New does and leaves the model identical to a freshly constructed
 // one, so population-scale loops can reuse a single Model per worker
 // instead of allocating one per synthetic participant.
-func (m *Model) Reinit(g study.Group, rng *rand.Rand) {
+func (m *Model) Reinit(g study.Group, rng *prng.Rand) {
 	*m = Model{
 		rng:   rng,
 		Group: g,
@@ -261,7 +261,7 @@ func misbehaviourRates(g study.Group, k conformance.StudyKind) [conformance.Rule
 
 // Behaviour samples the conformance-relevant conduct of one session. The
 // returned Session has behaviour fields set but no answers yet.
-func Behaviour(g study.Group, k conformance.StudyKind, rng *rand.Rand) *conformance.Session {
+func Behaviour(g study.Group, k conformance.StudyKind, rng *prng.Rand) *conformance.Session {
 	s := &conformance.Session{}
 	BehaviourInto(s, g, k, rng)
 	return s
@@ -272,7 +272,7 @@ func Behaviour(g study.Group, k conformance.StudyKind, rng *rand.Rand) *conforma
 // to a freshly sampled one (answer slices included: they are reset to nil).
 // Population-scale loops reuse a single Session per worker this way instead
 // of allocating one per synthetic participant.
-func BehaviourInto(s *conformance.Session, g study.Group, k conformance.StudyKind, rng *rand.Rand) {
+func BehaviourInto(s *conformance.Session, g study.Group, k conformance.StudyKind, rng *prng.Rand) {
 	rates := misbehaviourRates(g, k)
 	*s = conformance.Session{
 		Group:           g,
@@ -309,7 +309,7 @@ func BehaviourInto(s *conformance.Session, g study.Group, k conformance.StudyKin
 
 // Population generates n sessions' behaviour logs for a group and study.
 func Population(g study.Group, k conformance.StudyKind, n int, seed int64) []*conformance.Session {
-	rng := rand.New(rand.NewSource(seed))
+	rng := prng.New(seed)
 	out := make([]*conformance.Session, n)
 	for i := range out {
 		out[i] = Behaviour(g, k, rng)

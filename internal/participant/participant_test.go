@@ -2,12 +2,12 @@ package participant
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/conformance"
 	"repro/internal/metrics"
+	"repro/internal/prng"
 	"repro/internal/stats"
 	"repro/internal/study"
 )
@@ -19,7 +19,7 @@ func report(siMS int) metrics.Report {
 
 func votesFor(t *testing.T, g study.Group, left, right metrics.Report, n int) (a, b, nodiff int, replays float64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(99))
+	rng := prng.New(99)
 	stim := NewABStimulus(g, left, right)
 	for i := 0; i < n; i++ {
 		m := New(g, rng)
@@ -81,7 +81,7 @@ func TestABVoteReplaysHigherWhenSubtle(t *testing.T) {
 }
 
 func TestRateFasterIsBetter(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := prng.New(5)
 	fastStim := NewRatingStimulus(report(800), study.AtWork)
 	slowStim := NewRatingStimulus(report(8000), study.AtWork)
 	var fast, slow []float64
@@ -98,7 +98,7 @@ func TestRateFasterIsBetter(t *testing.T) {
 }
 
 func TestRateBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	rng := prng.New(6)
 	for i := 0; i < 500; i++ {
 		m := New(study.Internet, rng)
 		stim := NewRatingStimulus(report(100+rng.Intn(60000)), study.Environments()[i%3])
@@ -112,7 +112,7 @@ func TestRateBounds(t *testing.T) {
 func TestRatePlaneContextForgiving(t *testing.T) {
 	// The same slow load is rated higher when framed "on a plane" than "at
 	// work": lowered expectations.
-	rng := rand.New(rand.NewSource(7))
+	rng := prng.New(7)
 	// A 5-second load: clearly slow at work, unremarkable at altitude.
 	workStim := NewRatingStimulus(report(5000), study.AtWork)
 	planeStim := NewRatingStimulus(report(5000), study.OnPlane)
@@ -134,7 +134,7 @@ func TestRatingDistributionsNormality(t *testing.T) {
 	// Lab and µWorker votes should pass Jarque-Bera; Internet votes (with
 	// the outlier mixture) should fail — the paper's Fig. 3 observation.
 	sample := func(g study.Group) []float64 {
-		rng := rand.New(rand.NewSource(11))
+		rng := prng.New(11)
 		// A mid-scale stimulus: far from the 10/70 clamps, so the noise
 		// distribution itself is what the test sees.
 		stim := NewRatingStimulus(report(25000), study.FreeTime)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/prng"
 	"repro/internal/stats"
 	"repro/internal/study"
 )
@@ -125,7 +126,7 @@ func TestABStimulusMatchesReference(t *testing.T) {
 			seed := int64(g)<<8 | int64(pi)
 			refRng := rand.New(rand.NewSource(seed))
 			var m Model
-			m.Reinit(g, rand.New(rand.NewSource(seed)))
+			m.Reinit(g, prng.New(seed))
 			refRng.NormFloat64() // the bias draw Reinit made
 			stim := NewABStimulus(g, pair.left, pair.right)
 			for i := 0; i < 1000; i++ {
@@ -158,7 +159,7 @@ func TestRatingStimulusMatchesReference(t *testing.T) {
 				seed := int64(g)<<16 | int64(ei)<<8 | int64(ri)
 				refRng := rand.New(rand.NewSource(seed))
 				var m Model
-				m.Reinit(g, rand.New(rand.NewSource(seed)))
+				m.Reinit(g, prng.New(seed))
 				bias := refRng.NormFloat64() * 4
 				stim := NewRatingStimulus(rep, env)
 				for i := 0; i < 1000; i++ {

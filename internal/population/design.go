@@ -125,8 +125,10 @@ func (c *ABCellStats) load(st *ABCellState, shard, cell int, kept int64) (int64,
 type abDesign struct {
 	cells []ABCell
 	// stimuli holds each cell's perceptual evidence for cfg.Group, computed
-	// once per design and shared read-only by every worker.
+	// once per design and shared read-only by every worker; aOnLeft holds
+	// each cell's AOnLeft, so the vote loop never reads the cells.
 	stimuli  []participant.ABStimulus
+	aOnLeft  []bool
 	votesPer int
 }
 
@@ -135,11 +137,17 @@ func newABDesign(cells []ABCell, cfg Config) *abDesign {
 	if votesPer <= 0 {
 		votesPer = study.PlanFor(cfg.Group).ABVideos
 	}
-	stimuli := make([]participant.ABStimulus, len(cells))
-	for i := range cells {
-		stimuli[i] = participant.NewABStimulus(cfg.Group, cells[i].Left, cells[i].Right)
+	d := &abDesign{
+		cells:    cells,
+		stimuli:  make([]participant.ABStimulus, len(cells)),
+		aOnLeft:  make([]bool, len(cells)),
+		votesPer: votesPer,
 	}
-	return &abDesign{cells: cells, stimuli: stimuli, votesPer: votesPer}
+	for i := range cells {
+		d.stimuli[i] = participant.NewABStimulus(cfg.Group, cells[i].Left, cells[i].Right)
+		d.aOnLeft[i] = cells[i].AOnLeft
+	}
+	return d
 }
 
 func (d *abDesign) kind() conformance.StudyKind { return conformance.AB }
@@ -155,9 +163,8 @@ func (d *abDesign) newCells(n int) []ABCellStats {
 }
 
 func (d *abDesign) vote(ws *popWorker, cells []ABCellStats) int64 {
-	picks := drawDistinct(ws.rng, ws.perm, len(d.cells), d.votesPer)
+	picks := ws.drawDistinct(len(d.cells), d.votesPer)
 	for _, ci := range picks {
-		cell := &d.cells[ci]
 		vote, confidence, replays := ws.model.ABVote(&d.stimuli[ci])
 		st := &cells[ci]
 		st.Confidence.Add(float64(confidence))
@@ -166,13 +173,13 @@ func (d *abDesign) vote(ws *popWorker, cells []ABCellStats) int64 {
 		case study.VoteNoDifference:
 			st.VotesNone++
 		case study.VoteLeft:
-			if cell.AOnLeft {
+			if d.aOnLeft[ci] {
 				st.VotesA++
 			} else {
 				st.VotesB++
 			}
 		case study.VoteRight:
-			if cell.AOnLeft {
+			if d.aOnLeft[ci] {
 				st.VotesB++
 			} else {
 				st.VotesA++
@@ -366,7 +373,7 @@ func (d *ratingDesign) vote(ws *popWorker, cells []RatingCellStats) (votes int64
 		if len(g.cells) == 0 {
 			continue
 		}
-		for _, pick := range drawDistinct(ws.rng, ws.perm, len(g.cells), g.votes) {
+		for _, pick := range ws.drawDistinct(len(g.cells), g.votes) {
 			ci := g.cells[pick]
 			speed, quality := ws.model.Rate(&d.stimuli[ci])
 			st := &cells[ci]

@@ -28,12 +28,12 @@ package population
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/participant"
+	"repro/internal/prng"
 	"repro/internal/study"
 )
 
@@ -148,23 +148,6 @@ func shardRange(total, shards, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// drawDistinct writes k distinct values from [0, n) into dst (which must
-// have capacity n) via a partial Fisher-Yates shuffle, and returns dst[:k].
-func drawDistinct(rng *rand.Rand, dst []int, n, k int) []int {
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = i
-	}
-	if k > n {
-		k = n
-	}
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-	return dst[:k]
-}
-
 // popWorker is the pooled per-worker scratch of the shard loop: one rng
 // (reseeded from the shard seed at every shard, so results stay independent
 // of worker assignment), one reusable participant model, one reusable
@@ -172,20 +155,44 @@ func drawDistinct(rng *rand.Rand, dst []int, n, k int) []int {
 // iteration touches lives here or in the shard's slab-backed aggregates —
 // the loop itself allocates nothing.
 type popWorker struct {
-	rng     *rand.Rand
+	rng     *prng.Rand
 	model   participant.Model
 	session conformance.Session
-	perm    []int
+	perm    []int // the identity between drawDistinct calls
+	picks   []int
 }
 
 // newPopWorkers builds the scratch pool: one entry per pool slot.
 func newPopWorkers(workers, permLen int) []popWorker {
 	ws := make([]popWorker, workers)
 	for i := range ws {
-		ws[i].rng = rand.New(rand.NewSource(0)) // reseeded per shard
+		ws[i].rng = prng.New(0) // reseeded per shard
 		ws[i].perm = make([]int, permLen)
+		for j := range ws[i].perm {
+			ws[i].perm[j] = j
+		}
+		ws[i].picks = make([]int, permLen)
 	}
 	return ws
+}
+
+// drawDistinct draws min(k, n) distinct values from [0, n) by a partial
+// Fisher-Yates shuffle of ws.perm and returns them in ws.picks. It leaves
+// ws.perm the identity again, so no call resets all of it.
+func (ws *popWorker) drawDistinct(n, k int) []int {
+	perm, picks := ws.perm, ws.picks[:min(k, n)]
+	for i := range picks {
+		j := i + ws.rng.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		picks[i] = perm[i]
+	}
+	// Every position the swaps moved is either below k or the home of a
+	// pick: the first swap that reaches position j >= k carries value j
+	// into the picks, where it stays.
+	for i, v := range picks {
+		perm[i], perm[v] = i, v
+	}
+	return picks
 }
 
 // shard holds one shard's private aggregates.

@@ -3,12 +3,13 @@ package population
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/prng"
 	"repro/internal/study"
 )
 
@@ -38,7 +39,7 @@ func testABCells() []ABCell {
 
 func testRatingCells() []RatingCell {
 	var out []RatingCell
-	rng := rand.New(rand.NewSource(5))
+	rng := prng.New(5)
 	for _, env := range study.Environments() {
 		for i := 0; i < 6; i++ {
 			si := 0.3 + rng.Float64()*4
@@ -277,21 +278,56 @@ func TestRunRatingCanceled(t *testing.T) {
 	}
 }
 
-// TestDrawDistinct: draws are distinct, in range, and exhaustive when k = n.
+// TestDrawDistinct: draws are distinct, in range, exhaustive when k = n,
+// and leave perm the identity for the next call.
 func TestDrawDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	scratch := make([]int, 10)
+	ws := &newPopWorkers(1, 10)[0]
+	ws.rng.Seed(1)
 	for trial := 0; trial < 100; trial++ {
-		got := drawDistinct(rng, scratch, 10, 4)
+		n := 1 + trial%10
+		got := ws.drawDistinct(n, 4)
+		if len(got) != min(n, 4) {
+			t.Fatalf("drew %d of %d, want %d", len(got), n, min(n, 4))
+		}
 		seen := map[int]bool{}
 		for _, v := range got {
-			if v < 0 || v >= 10 || seen[v] {
-				t.Fatalf("bad draw %v", got)
+			if v < 0 || v >= n || seen[v] {
+				t.Fatalf("bad draw %v of %d", got, n)
 			}
 			seen[v] = true
 		}
+		for i, v := range ws.perm {
+			if v != i {
+				t.Fatalf("perm not restored after drawing %v: %v", got, ws.perm)
+			}
+		}
 	}
-	if got := drawDistinct(rng, scratch, 10, 99); len(got) != 10 {
+	if got := ws.drawDistinct(10, 99); len(got) != 10 {
 		t.Fatalf("k>n should clamp to n, got %d", len(got))
+	}
+}
+
+// TestDrawDistinctMatchesFreshPerm pins drawDistinct's picks and draws to a
+// partial Fisher-Yates shuffle of a freshly reset permutation: restoring
+// perm instead of resetting it must not move a single pick.
+func TestDrawDistinctMatchesFreshPerm(t *testing.T) {
+	ws := &newPopWorkers(1, 160)[0]
+	ws.rng.Seed(3)
+	ref := prng.New(3)
+	fresh := make([]int, 160)
+	for trial := 0; trial < 2000; trial++ {
+		n, k := 1+trial%160, trial%23
+		got := ws.drawDistinct(n, k)
+		for i := range fresh[:n] {
+			fresh[i] = i
+		}
+		want := fresh[:min(k, n)]
+		for i := range want {
+			j := i + ref.Intn(n-i)
+			fresh[i], fresh[j] = fresh[j], fresh[i]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: drew %v, a fresh permutation draws %v", trial, got, want)
+		}
 	}
 }

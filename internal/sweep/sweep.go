@@ -10,13 +10,13 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/browser"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/participant"
+	"repro/internal/prng"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/study"
@@ -160,7 +160,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		cfg.PanelSize = 200
 	}
 	res := Result{Cfg: cfg}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x53574545)) // "SWEE"
+	rng := prng.New(cfg.Seed ^ 0x53574545) // "SWEE"
 	var panellist participant.Model
 	for _, v := range cfg.Values {
 		if err := ctx.Err(); err != nil {

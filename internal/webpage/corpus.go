@@ -1,5 +1,10 @@
 package webpage
 
+import (
+	"slices"
+	"sync"
+)
+
 // CorpusSeed pins the deterministic site generator; changing it regenerates
 // a structurally different (but statistically similar) corpus.
 const CorpusSeed = 0x5045524345495645 // "PERCEIVE"
@@ -51,19 +56,24 @@ var profiles = []profile{
 	{name: "vimeo.com", objects: 48, totalKB: 1700, hosts: 9, heroFrac: 0.55},
 }
 
-// Corpus returns the 36-site study corpus, generated deterministically.
-func Corpus() []*Site {
+// corpus generates the 36 sites once per process. Nothing changes a Site
+// after generate returns it, so every caller shares the same *Site values.
+var corpus = sync.OnceValue(func() []*Site {
 	sites := make([]*Site, 0, len(profiles))
 	for _, p := range profiles {
 		sites = append(sites, generate(p, CorpusSeed))
 	}
 	return sites
-}
+})
+
+// Corpus returns the 36-site study corpus, generated deterministically, in
+// a fresh slice over the shared sites. The sites are read-only.
+func Corpus() []*Site { return slices.Clone(corpus()) }
 
 // LabCorpus returns only the five sites shown in the controlled lab study.
 func LabCorpus() []*Site {
 	var out []*Site
-	for _, s := range Corpus() {
+	for _, s := range corpus() {
 		if s.Lab {
 			out = append(out, s)
 		}
@@ -73,7 +83,7 @@ func LabCorpus() []*Site {
 
 // ByName returns the named site from the corpus, or nil.
 func ByName(name string) *Site {
-	for _, s := range Corpus() {
+	for _, s := range corpus() {
 		if s.Name == name {
 			return s
 		}

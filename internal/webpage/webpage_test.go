@@ -1,6 +1,8 @@
 package webpage
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -35,18 +37,33 @@ func TestLabCorpusFiveSites(t *testing.T) {
 	}
 }
 
+// TestCorpusDeterministic regenerates every site and compares it with the
+// shared corpus object for object.
 func TestCorpusDeterministic(t *testing.T) {
-	a := Corpus()
-	b := Corpus()
-	for i := range a {
-		if a[i].Name != b[i].Name || len(a[i].Objects) != len(b[i].Objects) {
-			t.Fatal("corpus not deterministic in structure")
+	for i, a := range Corpus() {
+		b := generate(profiles[i], CorpusSeed)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("site %s differs across generations", a.Name)
 		}
-		for j := range a[i].Objects {
-			if a[i].Objects[j] != b[i].Objects[j] {
-				t.Fatalf("site %s object %d differs across generations", a[i].Name, j)
-			}
+	}
+}
+
+// TestCorpusSharedSitesFreshSlices: every call returns the same generated
+// sites, each in its own slice, so a caller that edits its slice cannot
+// change the next caller's.
+func TestCorpusSharedSitesFreshSlices(t *testing.T) {
+	for name, get := range map[string]func() []*Site{"Corpus": Corpus, "LabCorpus": LabCorpus} {
+		a, b := get(), get()
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: two calls returned different sites", name)
 		}
+		a[0] = nil
+		if b[0] == nil {
+			t.Fatalf("%s: two calls share one slice", name)
+		}
+	}
+	if ByName("gov.uk") != LabCorpus()[1] {
+		t.Fatal("ByName and LabCorpus return different gov.uk sites")
 	}
 }
 

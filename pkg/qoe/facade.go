@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/participant"
 	"repro/internal/population"
+	"repro/internal/prng"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/study"
@@ -339,7 +339,7 @@ func RatePanel(ctx context.Context, req RatingPanel) (RatingOutcome, error) {
 		// stack's rating is reproducible regardless of which other stacks
 		// run in the same panel (the same independence the batch runner
 		// gives experiments).
-		rng := rand.New(rand.NewSource(core.DeriveSeed(req.Seed, "qoe-rating-panel/"+name)))
+		rng := prng.New(core.DeriveSeed(req.Seed, "qoe-rating-panel/"+name))
 		stim := participant.NewRatingStimulus(res.Report, env)
 		votes := make([]float64, 0, voters)
 		var m participant.Model

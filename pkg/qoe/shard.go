@@ -229,10 +229,17 @@ func decodeShardStream(r io.Reader, req ShardRequest) ([]ShardData, error) {
 // for concurrent use, so one executor serves all of a worker's requests.
 type ShardExecutor struct {
 	mu       sync.Mutex
-	testbeds map[string]*core.Testbed
-	specs    map[string][]adaptive.CellSpec // adaptive cell specs per testbed key
-	order    []string                       // FIFO eviction order for the bounded cache
+	testbeds map[string]*testbedEntry
+	order    []string // FIFO eviction order for the bounded cache
 	max      int
+}
+
+// testbedEntry is one cached testbed and the stimulus grids built from it.
+type testbedEntry struct {
+	tb *core.Testbed
+	// grids holds each study's stimulus grid, a pure function of tb, built
+	// on the study's first request. Guarded by ShardExecutor.mu.
+	grids map[string]any
 }
 
 // NewShardExecutor returns an executor caching at most maxTestbeds testbeds
@@ -242,58 +249,82 @@ func NewShardExecutor(maxTestbeds int) *ShardExecutor {
 		maxTestbeds = 1
 	}
 	return &ShardExecutor{
-		testbeds: make(map[string]*core.Testbed),
-		specs:    make(map[string][]adaptive.CellSpec),
+		testbeds: make(map[string]*testbedEntry),
 		max:      maxTestbeds,
 	}
 }
 
-func (e *ShardExecutor) testbedKey(scaleName Scale, seed int64) string {
-	return string(scaleName) + "|" + strconv.FormatInt(seed, 10)
-}
-
-func (e *ShardExecutor) testbed(scale core.Scale, scaleName Scale, seed int64) *core.Testbed {
-	key := e.testbedKey(scaleName, seed)
+func (e *ShardExecutor) testbed(scale core.Scale, scaleName Scale, seed int64) *testbedEntry {
+	key := string(scaleName) + "|" + strconv.FormatInt(seed, 10)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if tb, ok := e.testbeds[key]; ok {
-		return tb
+	if ent, ok := e.testbeds[key]; ok {
+		return ent
 	}
 	for len(e.order) >= e.max {
 		delete(e.testbeds, e.order[0])
-		delete(e.specs, e.order[0])
 		e.order = e.order[1:]
 	}
-	tb := core.NewTestbed(scale, seed)
-	e.testbeds[key] = tb
+	ent := &testbedEntry{tb: core.NewTestbed(scale, seed), grids: make(map[string]any)}
+	e.testbeds[key] = ent
 	e.order = append(e.order, key)
-	return tb
+	return ent
 }
 
-// adaptiveSpecs returns the adaptive study's cell specs for one (scale,
-// master seed) tuple, cached alongside the testbed: every round grant of
-// every cell reuses one measured stimulus grid, exactly like the
-// coordinator's own run does. expSeed is the study-derived seed.
-func (e *ShardExecutor) adaptiveSpecs(ctx context.Context, tb *core.Testbed, scaleName Scale, seed, expSeed int64) ([]adaptive.CellSpec, error) {
-	key := e.testbedKey(scaleName, seed)
+// shardGrid returns a study's stimulus grid for a cached testbed, building
+// it on the study's first request: every later request, and every round
+// grant of every adaptive cell, reuses one measured grid, exactly like the
+// coordinator's own run does. Concurrent first requests may each build the
+// grid; they build the same one, and the entry keeps one. A grid goes with
+// its entry when the testbed is evicted.
+func shardGrid[T any](e *ShardExecutor, ent *testbedEntry, study string, build func(*core.Testbed) (T, error)) (T, error) {
 	e.mu.Lock()
-	cached, ok := e.specs[key]
+	cached, ok := ent.grids[study]
 	e.mu.Unlock()
 	if ok {
-		return cached, nil
+		return cached.(T), nil
 	}
-	specs, err := experiments.PopSweepAdaptiveSpecs(ctx, tb, expSeed)
+	grid, err := build(ent.tb)
 	if err != nil {
-		return nil, err
+		return grid, err
 	}
 	e.mu.Lock()
-	// Only cache while the testbed itself is still resident, so the spec
-	// cache can never outlive (or outgrow) the testbed FIFO.
-	if _, live := e.testbeds[key]; live {
-		e.specs[key] = specs
-	}
+	ent.grids[study] = grid
 	e.mu.Unlock()
-	return specs, nil
+	return grid, nil
+}
+
+// shardLine is one "shard" line of the stream with its state still typed,
+// so the line is encoded in one pass. Its fields are ShardEvent's, in
+// ShardEvent's order.
+type shardLine[S any] struct {
+	Type          string `json:"type"`
+	SchemaVersion int    `json:"schema_version"`
+	Study         string `json:"study"`
+	Cell          int    `json:"cell,omitempty"`
+	Shard         int    `json:"shard,omitempty"`
+	State         *S     `json:"state"`
+}
+
+// writeShardStream writes one "shard" line per state, then the
+// "shard_summary". The range runners return one state per shard of
+// req.Range in ascending order, so state i is shard req.Range.Lo+i.
+func writeShardStream[S any](w io.Writer, req ShardRequest, states []S) error {
+	enc := json.NewEncoder(w)
+	for i := range states {
+		line := shardLine[S]{
+			Type: "shard", SchemaVersion: SchemaVersion, Study: req.Study, Cell: req.Cell,
+			Shard: req.Range.Lo + i, State: &states[i],
+		}
+		if err := enc.Encode(&line); err != nil {
+			return err
+		}
+	}
+	r := req.Range
+	return enc.Encode(&ShardEvent{
+		Type: "shard_summary", SchemaVersion: SchemaVersion, Study: req.Study, Cell: req.Cell,
+		Range: &r, Shards: len(states),
+	})
 }
 
 // Run executes one shard-range sub-job and writes its NDJSON stream to w:
@@ -314,18 +345,14 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 	if !ok {
 		return fmt.Errorf("qoe: cell %d out of range for %s (%d cells)", req.Cell, req.Study, cellCount)
 	}
-	tb := e.testbed(scale, req.Scale, req.Seed)
+	ent := e.testbed(scale, req.Scale, req.Seed)
 
-	// Compute all states before writing: a validation error (bad range)
-	// must become an HTTP error, not a truncated 200.
-	type line struct {
-		shard int
-		state any
-	}
-	var lines []line
+	// Every state is computed before the first byte is written: a
+	// validation error (bad range) must become an HTTP error, not a
+	// truncated 200.
 	switch req.Study {
 	case StudyPopAB:
-		cells, err := experiments.PopABCells(tb)
+		cells, err := shardGrid(e, ent, req.Study, experiments.PopABCells)
 		if err != nil {
 			return err
 		}
@@ -333,11 +360,9 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		for i := range states {
-			lines = append(lines, line{states[i].Shard, &states[i]})
-		}
+		return writeShardStream(w, req, states)
 	case StudyPopRating:
-		cells, err := experiments.PopRatingCells(tb)
+		cells, err := shardGrid(e, ent, req.Study, experiments.PopRatingCells)
 		if err != nil {
 			return err
 		}
@@ -345,16 +370,16 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		for i := range states {
-			lines = append(lines, line{states[i].Shard, &states[i]})
-		}
+		return writeShardStream(w, req, states)
 	case StudyPopSweepAdaptive:
 		// One round grant of one sweep cell. The cell's config is the
 		// canonical derivation from (master seed, cell) — the same one the
 		// coordinator's allocator granted against — so shard i's state is
 		// byte-identical to the in-process engine's, and the coordinator's
 		// accumulator fold cannot tell the difference.
-		specs, err := e.adaptiveSpecs(ctx, tb, req.Scale, req.Seed, expSeed)
+		specs, err := shardGrid(e, ent, req.Study, func(tb *core.Testbed) ([]adaptive.CellSpec, error) {
+			return experiments.PopSweepAdaptiveSpecs(ctx, tb, expSeed)
+		})
 		if err != nil {
 			return err
 		}
@@ -362,25 +387,7 @@ func (e *ShardExecutor) Run(ctx context.Context, req ShardRequest, w io.Writer) 
 		if err != nil {
 			return err
 		}
-		for i := range states {
-			lines = append(lines, line{states[i].Shard, &states[i]})
-		}
+		return writeShardStream(w, req, states)
 	}
-
-	enc := json.NewEncoder(w)
-	for _, l := range lines {
-		state, err := json.Marshal(l.state)
-		if err != nil {
-			return err
-		}
-		ev := ShardEvent{Type: "shard", SchemaVersion: SchemaVersion, Study: req.Study, Cell: req.Cell, Shard: l.shard, State: state}
-		if err := enc.Encode(&ev); err != nil {
-			return err
-		}
-	}
-	r := req.Range
-	return enc.Encode(&ShardEvent{
-		Type: "shard_summary", SchemaVersion: SchemaVersion, Study: req.Study, Cell: req.Cell,
-		Range: &r, Shards: len(lines),
-	})
+	return unknownStudy(req.Study)
 }

@@ -7,7 +7,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite the shard-stream goldens")
@@ -120,6 +123,50 @@ func TestShardStudyLookup(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardGridCachedPerTestbed: a study's stimulus grid is built on its
+// first request against a cached testbed, reused by every later one, and
+// evicted with the testbed.
+func TestShardGridCachedPerTestbed(t *testing.T) {
+	e := NewShardExecutor(1)
+	scale := core.QuickScale()
+	builds := 0
+	build := func(*core.Testbed) ([]int, error) {
+		builds++
+		return []int{builds}, nil
+	}
+	ent := e.testbed(scale, ScaleQuick, 1)
+	for range 3 {
+		if g, err := shardGrid(e, e.testbed(scale, ScaleQuick, 1), StudyPopAB, build); err != nil || g[0] != 1 {
+			t.Fatalf("grid = %v, %v; want the first build", g, err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("built the grid %d times for one testbed", builds)
+	}
+	e.testbed(scale, ScaleQuick, 2) // evicts seed 1 and its grids
+	if e.testbed(scale, ScaleQuick, 1) == ent {
+		t.Fatal("evicted testbed still cached")
+	}
+	if g, err := shardGrid(e, e.testbed(scale, ScaleQuick, 1), StudyPopAB, build); err != nil || g[0] != 2 {
+		t.Fatalf("grid after eviction = %v, %v; want a fresh build", g, err)
+	}
+
+	// Concurrent requests share the entry; whichever build they see, each
+	// gets a grid, and the race detector sees no unguarded access.
+	var wg sync.WaitGroup
+	for seed := range int64(8) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ent := e.testbed(scale, ScaleQuick, seed%2)
+			if g, err := shardGrid(e, ent, StudyPopRating, func(*core.Testbed) ([]int, error) { return []int{1}, nil }); err != nil || len(g) != 1 {
+				t.Errorf("concurrent grid = %v, %v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FuzzDecodeShardStream feeds the shard-stream decoder arbitrary bytes and
